@@ -29,6 +29,7 @@ from .errors import (
     DegenerateEllipse,
     DelayExceedsCp,
     DimensionMismatch,
+    DopplerExceedsNarrowband,
     EmptyReference,
     MapTooSmall,
     NegativeExcess,

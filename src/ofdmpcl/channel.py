@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DelayExceedsCp
+from .errors import DelayExceedsCp, DopplerExceedsNarrowband
 from .geometry import Path
 from .grid import Numerology, ResourceGrid
 
@@ -51,24 +51,24 @@ def channel_response(
     carrier_hz = np.arange(m) * numerology.subcarrier_spacing_hz
     symbol_times = frame_start_time_s + np.arange(d) * numerology.symbol_duration_s
 
-    response = np.zeros((m, d), dtype=np.complex128)
-    for path in paths:
-        delay = path.delay_s + timing_offset_s
-        doppler = path.doppler_hz + freq_offset_hz
+    delays = np.array([path.delay_s + timing_offset_s for path in paths])
+    dopplers = np.array([path.doppler_hz + freq_offset_hz for path in paths])
+    for delay, doppler in zip(delays, dopplers):
         if not 0.0 <= delay < numerology.cp_duration_s:
             raise DelayExceedsCp(
                 f"path delay {delay * 1e9:.1f} ns outside cyclic prefix "
                 f"[0, {numerology.cp_duration_s * 1e9:.1f} ns)"
             )
         if abs(doppler) * numerology.symbol_duration_s > MAX_DOPPLER_SYMBOL_PRODUCT:
-            raise ValueError(
+            raise DopplerExceedsNarrowband(
                 f"doppler {doppler:.0f} Hz violates the narrowband assumption "
                 f"for symbol duration {numerology.symbol_duration_s:.2e} s"
             )
-        delay_ramp = np.exp(-2j * np.pi * carrier_hz * delay)
-        doppler_ramp = np.exp(2j * np.pi * doppler * symbol_times)
-        response += path.gain * np.outer(delay_ramp, doppler_ramp)
-    return response
+    # Sum of P separable delay x Doppler ramps as one (M x P) @ (P x D) product.
+    gains = np.array([path.gain for path in paths], dtype=np.complex128)
+    delay_ramps = np.exp(-2j * np.pi * carrier_hz[:, None] * delays) * gains
+    doppler_ramps = np.exp(2j * np.pi * dopplers[:, None] * symbol_times)
+    return delay_ramps @ doppler_ramps
 
 
 def apply_channel(
@@ -86,14 +86,14 @@ def apply_channel(
     mean power of the noiseless received signal over allocated elements;
     ``None`` disables noise. Noise is seeded and added to every element.
     """
-    response = channel_response(
+    received = channel_response(
         grid.numerology,
         paths,
         frame_start_time_s=frame_start_time_s,
         timing_offset_s=timing_offset_s,
         freq_offset_hz=freq_offset_hz,
     )
-    received = grid.symbols * response
+    received *= grid.symbols
 
     if noise_snr_db is not None:
         allocated = grid.allocated_mask
@@ -103,11 +103,8 @@ def apply_channel(
         noise_power = signal_power * 10.0 ** (-noise_snr_db / 10.0)
         rng = np.random.default_rng(rng_seed)
         scale = np.sqrt(noise_power / 2.0)
-        noise = scale * (
-            rng.standard_normal(received.shape)
-            + 1j * rng.standard_normal(received.shape)
-        )
-        received = received + noise
+        received.real += scale * rng.standard_normal(received.shape)
+        received.imag += scale * rng.standard_normal(received.shape)
 
     return SymbolFrame(
         symbols=received,

@@ -30,6 +30,10 @@ class DelayExceedsCp(OfdmPclError):
     model would no longer hold."""
 
 
+class DopplerExceedsNarrowband(OfdmPclError, ValueError):
+    """A path Doppler breaks the per-symbol constant-phase approximation."""
+
+
 class DimensionMismatch(OfdmPclError):
     """Received frame and reference grid disagree in shape or numerology."""
 

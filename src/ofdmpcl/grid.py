@@ -106,8 +106,8 @@ class ResourceGrid:
         return [m.user_id for m in self.masks]
 
 
-def _tile_to_mask(numerology: Numerology, tile, user_id: str) -> np.ndarray:
-    """Expand one (prb_row, col_start, col_end) tile to element indices.
+def _tile_slices(numerology: Numerology, tile, user_id: str) -> tuple[slice, slice]:
+    """Map one (prb_row, col_start, col_end) tile to (carrier, symbol) slices.
 
     Column bounds are in slot units (7 symbols each), end exclusive.
     """
@@ -123,12 +123,11 @@ def _tile_to_mask(numerology: Numerology, tile, user_id: str) -> np.ndarray:
             f"user {user_id!r}: slot range [{col_start}, {col_end}) outside "
             f"0..{ncols}"
         )
-    mask = np.zeros((numerology.num_carriers, numerology.symbols_per_frame), dtype=bool)
     r0 = prb_row * PRB_CARRIERS
-    c0 = col_start * PRB_SYMBOLS
-    c1 = col_end * PRB_SYMBOLS
-    mask[r0 : r0 + PRB_CARRIERS, c0:c1] = True
-    return mask
+    return (
+        slice(r0, r0 + PRB_CARRIERS),
+        slice(col_start * PRB_SYMBOLS, col_end * PRB_SYMBOLS),
+    )
 
 
 def build_grid(numerology: Numerology, allocations, rng_seed: int) -> ResourceGrid:
@@ -152,9 +151,9 @@ def build_grid(numerology: Numerology, allocations, rng_seed: int) -> ResourceGr
     for user_id, tiles in allocations.items():
         user_mask = np.zeros(shape, dtype=bool)
         for tile in tiles:
-            tile_mask = _tile_to_mask(numerology, tile, user_id)
-            coverage += tile_mask
-            user_mask |= tile_mask
+            rows, cols = _tile_slices(numerology, tile, user_id)
+            coverage[rows, cols] += 1
+            user_mask[rows, cols] = True
         masks.append(AllocationMask(user_id=str(user_id), mask=user_mask))
     if np.any(coverage > 1):
         m, d = np.argwhere(coverage > 1)[0]

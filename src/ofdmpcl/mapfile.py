@@ -110,9 +110,8 @@ def export_heatmap(map_path, image_path, db_floor: float = 60.0) -> None:
 
 
 def _fmt(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+    """Shortest round-trip decimal text of a float of any numpy type."""
+    return repr(float(value))
 
 
 def write_detections_csv(path, pair_id: str, detections) -> None:
@@ -139,4 +138,4 @@ def write_positions_csv(path, rows) -> None:
         writer = csv.writer(f)
         writer.writerow(POSITION_COLUMNS)
         for hint, x, y, rms, n_pairs in rows:
-            writer.writerow([hint, _fmt(float(x)), _fmt(float(y)), _fmt(float(rms)), n_pairs])
+            writer.writerow([hint, _fmt(x), _fmt(y), _fmt(rms), n_pairs])

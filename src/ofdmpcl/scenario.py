@@ -449,7 +449,7 @@ def run_scenario(scenario, out_dir=None, seed=None, log=None) -> RunResult:
     if not isinstance(scenario, Scenario):
         scenario = load_scenario(scenario)
     if seed is not None:
-        scenario.seed = int(seed)
+        scenario = dataclasses.replace(scenario, seed=int(seed))
     log = log or (lambda msg: print(msg, file=sys.stderr))
 
     out = Path(out_dir) if out_dir is not None else Path(scenario.output_dir)

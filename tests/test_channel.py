@@ -3,6 +3,7 @@ import pytest
 
 from ofdmpcl import (
     DelayExceedsCp,
+    DopplerExceedsNarrowband,
     Numerology,
     Path,
     apply_channel,
@@ -10,7 +11,7 @@ from ofdmpcl import (
     channel_response,
     full_allocation,
 )
-from oracles import time_domain_receive
+from oracles import channel_response_sum, time_domain_receive
 
 NUM = Numerology(num_carriers=72, symbols_per_frame=28)
 
@@ -154,3 +155,33 @@ def test_channel_response_independent_of_allocation():
     response = channel_response(NUM, [path(delay_s=1e-6, doppler_hz=100.0)])
     assert response.shape == (NUM.num_carriers, NUM.symbols_per_frame)
     np.testing.assert_allclose(np.abs(response), 1.0, rtol=1e-12)
+
+
+def test_doppler_beyond_narrowband_is_a_package_error():
+    with pytest.raises(DopplerExceedsNarrowband, match="narrowband"):
+        channel_response(NUM, [path(doppler_hz=5e3)])
+
+
+def test_channel_response_matches_per_path_sum_with_sync_offsets():
+    # One dominant path keeps every element's magnitude above 0.4, so a
+    # relative tolerance is meaningful everywhere.
+    paths = [
+        path(delay_s=0.3e-6, doppler_hz=-120.0, gain=1.0 + 0.2j),
+        path(delay_s=1.7e-6, doppler_hz=340.0, gain=-0.3 + 0.1j),
+        path(delay_s=3.1e-6, doppler_hz=55.0, gain=0.1j),
+        path(delay_s=0.0, doppler_hz=0.0, gain=0.15, kind="los"),
+    ]
+    kwargs = dict(frame_start_time_s=2.5e-3, timing_offset_s=0.4e-6, freq_offset_hz=-35.0)
+    np.testing.assert_allclose(
+        channel_response(NUM, paths, **kwargs),
+        channel_response_sum(NUM, paths, **kwargs),
+        rtol=1e-12,
+        atol=0,
+    )
+
+
+def test_channel_response_without_paths_is_complex_zeros():
+    response = channel_response(NUM, [])
+    assert response.shape == (NUM.num_carriers, NUM.symbols_per_frame)
+    assert response.dtype == np.complex128
+    assert not np.any(response)

@@ -141,3 +141,20 @@ def test_numerology_derived_quantities():
     assert num.symbol_duration_s == pytest.approx(1 / 14e3)
     assert num.delay_bin_s == pytest.approx(1 / (72 * 15e3))
     assert num.bandwidth_hz == pytest.approx(1.08e6)
+
+
+def test_overlap_error_names_first_element_in_row_major_order():
+    # u1's first tile overlaps u0 at carrier 36, its second at carrier 12:
+    # the report follows element order, not tile order.
+    allocations = {
+        "u0": [(3, 0, 2), (1, 2, 4)],
+        "u1": [(3, 1, 2), (1, 3, 4)],
+    }
+    with pytest.raises(OverlappingAllocation, match=r"\(carrier 12, symbol 21\)"):
+        build_grid(NUM, allocations, rng_seed=0)
+
+
+def test_out_of_bounds_reported_before_overlap():
+    allocations = {"u0": [(0, 0, 1)], "u1": [(0, 0, 1), (NUM.prb_rows, 0, 1)]}
+    with pytest.raises(OutOfBounds):
+        build_grid(NUM, allocations, rng_seed=0)

@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -285,3 +286,43 @@ def test_cli_run_and_reports(tmp_path, capsys):
 
 def test_cli_heatmap_missing_map_is_runtime_error(tmp_path):
     assert cli_main(["heatmap", str(tmp_path / "nope.bin"), str(tmp_path / "x.pgm")]) == 1
+
+
+def test_csv_floats_are_plain_numbers(tmp_path):
+    result = run_scenario(load_scenario(write_scenario(tmp_path, mini_scenario())),
+                          out_dir=tmp_path / "out", log=lambda m: None)
+    tables = sorted((tmp_path / "out").glob("detections_*.csv"))
+    assert len(tables) == 2
+    rows = 0
+    for table in tables:
+        with open(table, newline="") as f:
+            for row in csv.DictReader(f):
+                rows += 1
+                for column in DETECTION_COLUMNS[1:]:
+                    float(row[column])
+    assert rows == sum(len(pr.detections) for pr in result.pair_results) > 0
+    with open(result.positions_file, newline="") as f:
+        for row in csv.DictReader(f):
+            for column in ("x_m", "y_m", "residual_rms_m"):
+                float(row[column])
+
+
+def test_seed_override_leaves_callers_scenario_alone(tmp_path):
+    scenario = load_scenario(write_scenario(tmp_path, mini_scenario()))
+    result = run_scenario(scenario, out_dir=tmp_path / "out", seed=77, log=lambda m: None)
+    assert scenario.seed == 5150
+    assert json.loads(result.manifest_file.read_text())["seed"] == 77
+
+
+def test_cli_run_beyond_narrowband_exits_1_without_traceback(tmp_path, capsys):
+    doc = mini_scenario()
+    doc["nodes"][3]["velocity_mps"] = [4e5, 0.0]
+    path = write_scenario(tmp_path, doc)
+    assert cli_main(["validate", str(path)]) == 0
+    capsys.readouterr()
+    assert cli_main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert any(
+        line.startswith("error: ") and "narrowband" in line for line in err.splitlines()
+    )
+    assert "Traceback" not in err
