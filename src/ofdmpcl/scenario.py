@@ -316,6 +316,9 @@ def scenario_from_dict(data: dict, name: str = "scenario") -> Scenario:
     delay_window = chk.string(data, "", "delay_window", default="rect", choices=WINDOW_NAMES)
     doppler_window = chk.string(data, "", "doppler_window", default="rect", choices=WINDOW_NAMES)
     notch = chk.integer(data, "", "notch_half_width_bins", default=1, minimum=0)
+    if numerology and d_window and 2 * notch + 1 > d_window // 2:
+        chk.fail("notch_half_width_bins",
+                 f"notch of {2 * notch + 1} columns exceeds half of the {d_window} Doppler bins")
 
     cfar_block = data.get("cfar", {})
     cfar = CfarConfig()
@@ -327,8 +330,12 @@ def scenario_from_dict(data: dict, name: str = "scenario") -> Scenario:
         pfa = chk.number(cfar_block, "cfar.", "pfa", default=1e-4, minimum=0.0)
         if pfa is not None and not 0.0 < pfa < 0.5:
             chk.fail("cfar.pfa", "must lie in (0, 0.5)")
-        elif train is not None and guard is not None:
+        elif train >= 1 and guard >= 0:
             cfar = CfarConfig(train_cells=train, guard_cells=guard, pfa=float(pfa))
+            if numerology and d_window and min(numerology.num_carriers, d_window) <= cfar.window:
+                chk.fail("cfar.train_cells",
+                         f"{cfar.window}x{cfar.window} CFAR window does not fit the "
+                         f"{numerology.num_carriers}x{d_window} map")
 
     ref_range = chk.number(data, "", "reference_power_range_m", default=100.0, minimum=1e-9)
     los_excess = chk.number(data, "", "los_excess_db", default=30.0)

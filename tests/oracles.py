@@ -1,9 +1,12 @@
 """Independent reference implementations used to check the library.
 
 Everything here is deliberately slow and literal: direct O(N^2) transform
-sums, continuous-time waveform evaluation, and numerical differentiation.
+sums, continuous-time waveform evaluation, numerical differentiation and a
+cell-by-cell CFAR.
 None of it shares code with the package's processing path.
 """
+
+import math
 
 import numpy as np
 
@@ -123,3 +126,61 @@ def channel_response_sum(
             np.exp(2j * np.pi * doppler * symbol_times),
         )
     return response
+
+
+def ca_cfar_literal(power, train_cells, guard_cells, pfa, delay_bin_s, doppler_bin_hz):
+    """Cross-kernel CA-CFAR evaluated cell by cell from its definition.
+
+    A cell is a peak when its power is positive, strictly above each of its
+    8 neighbours that precede it in row-major order and at least equal to
+    each that follows. It is detected when it also exceeds alpha times the
+    mean of the 4 * train_cells cells that lie guard_cells + 1 ..
+    guard_cells + train_cells steps away along the delay and Doppler axes
+    (indices taken modulo the map size), with alpha set for ``pfa`` under
+    exponential noise. Sub-bin offsets come from a 3-point parabola per axis,
+    clipped to half a bin. Returns tuples (delay_bin, doppler_bin,
+    refined_delay_s, refined_doppler_hz, peak_power, snr_db), strongest first.
+    """
+    num_delay, num_doppler = power.shape
+    count = 4 * train_cells
+    alpha = count * (pfa ** (-1.0 / count) - 1.0)
+
+    def at(i, j):
+        return float(power[i % num_delay, j % num_doppler])
+
+    def vertex(before, peak, after):
+        curvature = before + after - 2.0 * peak
+        if curvature >= 0.0:
+            return 0.0
+        return min(0.5, max(-0.5, 0.5 * (before - after) / curvature))
+
+    neighbours = [(di, dj) for di in (-1, 0, 1) for dj in (-1, 0, 1) if (di, dj) != (0, 0)]
+    steps = range(guard_cells + 1, guard_cells + train_cells + 1)
+    found = []
+    for i in range(num_delay):
+        for j in range(num_doppler):
+            p = at(i, j)
+            if not p > 0:
+                continue
+            if any(
+                p <= at(i + di, j + dj) if (di < 0 or (di == 0 and dj < 0)) else p < at(i + di, j + dj)
+                for di, dj in neighbours
+            ):
+                continue
+            training = [at(i + sign * k, j) for k in steps for sign in (-1, 1)]
+            training += [at(i, j + sign * k) for k in steps for sign in (-1, 1)]
+            noise = sum(training) / count
+            if not p > alpha * noise:
+                continue
+            d_delay = vertex(at(i - 1, j), p, at(i + 1, j))
+            d_doppler = vertex(at(i, j - 1), p, at(i, j + 1))
+            found.append((
+                i,
+                j,
+                (i + d_delay) * delay_bin_s,
+                (j - num_doppler // 2 + d_doppler) * doppler_bin_hz,
+                p,
+                10.0 * math.log10(p / noise) if noise > 0 else math.inf,
+            ))
+    found.sort(key=lambda row: (-row[4], row[0], row[1]))
+    return found

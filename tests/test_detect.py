@@ -17,7 +17,9 @@ from ofdmpcl import (
     scattering_map,
     suppress_clutter,
 )
+from ofdmpcl import detect
 from ofdmpcl.dsp import ScatteringMap
+from oracles import ca_cfar_literal
 
 # 100 Hz Doppler bins: 140 symbols at 1/14 ms each
 NUM = Numerology(num_carriers=60, symbols_per_frame=140)
@@ -188,3 +190,53 @@ def test_refined_values_stay_within_half_bin():
     det = cfar_detect(synthetic_map(power), CfarConfig(pfa=1e-3))[0]
     assert abs(det.refined_delay_s / 1e-8 - det.delay_bin) <= 0.5
     assert abs(det.refined_doppler_hz / 100.0 - (det.doppler_bin - 32)) <= 0.5
+
+
+def oracle_map(shape, seed):
+    """Exponential noise with peaks on the wrap edges, an equal plateau, a
+    zeroed notch and one peak whose whole training cross is zero."""
+    rng = np.random.default_rng(seed)
+    rows, cols = shape
+    power = rng.exponential(size=shape)
+    power[0, 5] = 60.0
+    power[rows // 2, cols - 1] = 45.0
+    power[rows - 1, 0] = 30.0
+    power[rows // 3, 3 : 5] = 25.0
+    power[rows // 3 + 1, 3] = 25.0
+    power[:, cols // 2 - 1 : cols // 2 + 2] = 0.0
+    quiet_row, quiet_col = rows - 4, cols // 2 - 5
+    power[quiet_row, :] = 0.0
+    power[:, quiet_col] = 0.0
+    power[quiet_row, quiet_col] = 50.0
+    return power
+
+
+@pytest.mark.parametrize("train, guard, pfa", [(1, 0, 0.05), (4, 1, 1e-2), (8, 2, 1e-3)])
+@pytest.mark.parametrize("shape", [(40, 48), (64, 64), (23, 22)])  # (8, 2) window: 21
+@pytest.mark.parametrize("gather_block", [detect._GATHER_BLOCK, 7])
+def test_cfar_matches_literal_oracle(train, guard, pfa, shape, gather_block, monkeypatch):
+    monkeypatch.setattr(detect, "_GATHER_BLOCK", gather_block)
+    cfg = CfarConfig(train_cells=train, guard_cells=guard, pfa=pfa)
+    power = oracle_map(shape, seed=sum(shape) + train)
+    got = cfar_detect(synthetic_map(power), cfg)
+    want = ca_cfar_literal(power, train, guard, pfa, delay_bin_s=1e-8, doppler_bin_hz=100.0)
+    assert [(d.delay_bin, d.doppler_bin) for d in got] == [row[:2] for row in want]
+    assert any(np.isinf(row[5]) for row in want)
+    fields = ("refined_delay_s", "refined_doppler_hz", "peak_power", "snr_db")
+    np.testing.assert_allclose(
+        [[getattr(d, f) for f in fields] for d in got],
+        [row[2:] for row in want],
+        rtol=1e-12,
+    )
+
+
+def test_detection_fields_are_plain_python_numbers():
+    rng = np.random.default_rng(9)
+    power = rng.exponential(size=(48, 40)).astype(np.float32)
+    power[7, 9] = 80.0
+    detections = cfar_detect(synthetic_map(power), CfarConfig(pfa=1e-2))
+    assert detections
+    for det in detections:
+        assert type(det.delay_bin) is int and type(det.doppler_bin) is int
+        for value in (det.refined_delay_s, det.refined_doppler_hz, det.peak_power, det.snr_db):
+            assert type(value) is float

@@ -326,3 +326,35 @@ def test_cli_run_beyond_narrowband_exits_1_without_traceback(tmp_path, capsys):
         line.startswith("error: ") and "narrowband" in line for line in err.splitlines()
     )
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "overrides, expected",
+    [
+        # 2 * (100 + 1) + 1 = 203 cells exceed the 60-carrier delay axis
+        ({"cfar": {"train_cells": 100, "guard_cells": 1, "pfa": 1e-4}}, "$.cfar.train_cells"),
+        # a 21-cell window over a 21-symbol Doppler axis leaves no room
+        ({"cfar": {"train_cells": 8, "guard_cells": 2, "pfa": 1e-4},
+          "doppler_window_symbols": 21, "notch_half_width_bins": 0}, "$.cfar.train_cells"),
+        # 121 zeroed columns of 140
+        ({"notch_half_width_bins": 60}, "$.notch_half_width_bins"),
+        # 71 > 140 // 2
+        ({"notch_half_width_bins": 35}, "$.notch_half_width_bins"),
+        ({"cfar": {"train_cells": 0}}, "$.cfar.train_cells"),
+        ({"cfar": {"guard_cells": -1}}, "$.cfar.guard_cells"),
+    ],
+)
+def test_cli_validate_rejects_what_run_would_reject(tmp_path, capsys, overrides, expected):
+    path = write_scenario(tmp_path, mini_scenario(**overrides))
+    assert cli_main(["validate", str(path)]) == 2
+    assert expected in capsys.readouterr().err
+
+
+def test_validate_accepts_largest_window_and_notch_that_run(tmp_path):
+    doc = mini_scenario(
+        cfar={"train_cells": 27, "guard_cells": 2, "pfa": 1e-4},  # 59-cell window, 60 carriers
+        notch_half_width_bins=34,  # 69 of 140 columns
+    )
+    path = write_scenario(tmp_path, doc)
+    assert cli_main(["validate", str(path)]) == 0
+    assert cli_main(["run", str(path), "--out", str(tmp_path / "out")]) == 0
