@@ -84,7 +84,9 @@ def apply_channel(
 
     ``noise_snr_db`` sets complex white Gaussian noise power relative to the
     mean power of the noiseless received signal over allocated elements;
-    ``None`` disables noise. Noise is seeded and added to every element.
+    ``None`` disables noise. Noise is seeded and added to every element:
+    one M x D standard-normal draw for the real parts, then one for the
+    imaginary parts, each in row-major order.
     """
     received = channel_response(
         grid.numerology,
@@ -103,8 +105,11 @@ def apply_channel(
         noise_power = signal_power * 10.0 ** (-noise_snr_db / 10.0)
         rng = np.random.default_rng(rng_seed)
         scale = np.sqrt(noise_power / 2.0)
-        received.real += scale * rng.standard_normal(received.shape)
-        received.imag += scale * rng.standard_normal(received.shape)
+        noise = np.empty(received.shape)
+        for part in (received.real, received.imag):
+            rng.standard_normal(out=noise)
+            noise *= scale
+            part += noise
 
     return SymbolFrame(
         symbols=received,

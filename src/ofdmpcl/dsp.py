@@ -25,7 +25,7 @@ from .grid import Numerology, ResourceGrid, user_subgrid
 
 
 def window_vector(name: str, n: int) -> np.ndarray:
-    """Taper coefficients by name; "rect" is all ones."""
+    """Taper coefficients by name; "rect" is all ones, so the transforms skip it."""
     if name in ("rect", "rectangular"):
         return np.ones(n)
     if name == "hann":
@@ -48,7 +48,6 @@ class ImpulseResponse:
 
     h: np.ndarray  # complex, (num_carriers, symbols)
     numerology: Numerology
-    window: str = "rect"
 
 
 @dataclass
@@ -58,7 +57,6 @@ class SpreadingFunction:
     s: np.ndarray  # complex, (delay bins, Doppler bins)
     delay_bin_s: float
     doppler_bin_hz: float
-    window: str = "rect"
 
     @property
     def zero_doppler_bin(self) -> int:
@@ -84,9 +82,6 @@ class ScatteringMap:
     def doppler_axis_hz(self) -> np.ndarray:
         d = self.power.shape[1]
         return (np.arange(d) - d // 2) * self.doppler_bin_hz
-
-    def delay_axis_s(self) -> np.ndarray:
-        return np.arange(self.power.shape[0]) * self.delay_bin_s
 
 
 def estimate_channel(
@@ -115,20 +110,17 @@ def estimate_channel(
     return ChannelEstimate(h=h, valid_mask=mask, numerology=ref.numerology)
 
 
-def delay_transform(
-    est: ChannelEstimate, window: str = "rect", fill: str = "zeros"
-) -> ImpulseResponse:
+def delay_transform(est: ChannelEstimate, window: str = "rect") -> ImpulseResponse:
     """Fast-time transform: per-symbol unitary inverse DFT over carriers.
 
     Unallocated carriers stay zero (zero-filled sparse grid), which is the
     baseline estimator for partially allocated grids.
     """
-    if fill != "zeros":
-        raise ValueError(f"unsupported fill mode {fill!r}")
     m = est.h.shape[0]
-    w = window_vector(window, m)
-    h = np.fft.ifft(w[:, None] * est.h, axis=0) * np.sqrt(m)
-    return ImpulseResponse(h=h, numerology=est.numerology, window=window)
+    h = est.h if window == "rect" else window_vector(window, m)[:, None] * est.h
+    h = np.fft.ifft(h, axis=0)
+    h *= np.sqrt(m)
+    return ImpulseResponse(h=h, numerology=est.numerology)
 
 
 def doppler_transform(
@@ -143,20 +135,24 @@ def doppler_transform(
     d = h.shape[1]
     if d < 2:
         raise ValueError("Doppler transform needs at least 2 symbols")
-    w = window_vector(window, d)
-    s = np.fft.fftshift(np.fft.fft(w[None, :] * h, axis=1), axes=1) / np.sqrt(d)
+    if window != "rect":
+        h = window_vector(window, d)[None, :] * h
+    h = np.fft.fft(h, axis=1)  # rebinding frees the tapered copy before the shift
+    s = np.fft.fftshift(h, axes=1)
+    s /= np.sqrt(d)
     return SpreadingFunction(
         s=s,
         delay_bin_s=cir.numerology.delay_bin_s,
         doppler_bin_hz=1.0 / (d * cir.numerology.symbol_duration_s),
-        window=window,
     )
 
 
 def scattering_map(sf: SpreadingFunction) -> ScatteringMap:
     """Element-wise squared magnitude of the spreading function."""
+    power = np.abs(sf.s)
+    power *= power
     return ScatteringMap(
-        power=np.abs(sf.s) ** 2,
+        power=power,
         delay_bin_s=sf.delay_bin_s,
         doppler_bin_hz=sf.doppler_bin_hz,
     )

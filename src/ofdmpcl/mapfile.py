@@ -47,7 +47,7 @@ def write_map(path, smap: ScatteringMap) -> None:
     data = np.ascontiguousarray(smap.power, dtype="<f4")
     with open(path, "wb") as f:
         f.write(header)
-        f.write(data.tobytes())
+        data.tofile(f)
 
 
 def read_map(path) -> ScatteringMap:

@@ -39,7 +39,7 @@ from .errors import (
     ScenarioError,
 )
 from .geometry import SPEED_OF_LIGHT, Node, Scene, enumerate_paths
-from .grid import Numerology, build_grid, full_allocation, random_allocation
+from .grid import Numerology, ResourceGrid, build_grid, full_allocation, random_allocation
 from .locate import fuse_position, measurement_from_detection
 from .mapfile import (
     write_detections_csv,
@@ -282,6 +282,7 @@ def scenario_from_dict(data: dict, name: str = "scenario") -> Scenario:
         chk.fail("allocation", "expected an object")
         allocation = {"type": "full", "user": "u0"}
     alloc_type = chk.string(allocation, "allocation.", "type", choices=("full", "tiles", "random"))
+    users = set()
     if alloc_type == "tiles":
         tiles = allocation.get("tiles")
         if not isinstance(tiles, list) or not tiles:
@@ -298,12 +299,16 @@ def scenario_from_dict(data: dict, name: str = "scenario") -> Scenario:
                         f"allocation.tiles[{i}]",
                         "expected [user, prb_row, col_start, col_end]",
                     )
+                else:
+                    users.add(tile[0])
     elif alloc_type == "random":
-        chk.number(allocation, "allocation.", "density", minimum=1e-9)
+        density = chk.number(allocation, "allocation.", "density", minimum=1e-9)
+        if density is not None and density > 1.0:
+            chk.fail("allocation.density", "must lie in (0, 1]")
         chk.integer(allocation, "allocation.", "seed", default=0)
-        chk.string(allocation, "allocation.", "user", default="u0")
+        users.add(chk.string(allocation, "allocation.", "user", default="u0"))
     elif alloc_type == "full":
-        chk.string(allocation, "allocation.", "user", default="u0")
+        users.add(chk.string(allocation, "allocation.", "user", default="u0"))
 
     snr_db = chk.number(data, "", "snr_db", default=None, allow_none=True)
     d_window = chk.integer(data, "", "doppler_window_symbols",
@@ -343,6 +348,8 @@ def scenario_from_dict(data: dict, name: str = "scenario") -> Scenario:
     if process_user is not None and not isinstance(process_user, str):
         chk.fail("process_user", "expected a string or null")
         process_user = None
+    if process_user is not None and users and process_user not in users:
+        chk.fail("process_user", f"user {process_user!r} owns no allocation")
     localization = data.get("localization", True)
     if not isinstance(localization, bool):
         chk.fail("localization", "expected a boolean")
@@ -447,6 +454,33 @@ class RunResult:
         return {pr.pair.pair_id: pr.detections for pr in self.pair_results}
 
 
+def _run_pair(scenario: Scenario, scene: Scene, grid: ResourceGrid, pair_spec: PairSpec,
+              out: Path) -> PairResult:
+    """One Tx/Rx pair through the chain, writing its map and detection CSV.
+    Each stage's input is released as soon as the next stage returns."""
+    pair = scene.pair(pair_spec.tx, pair_spec.rx)
+    paths = enumerate_paths(scene, pair, scenario.numerology.carrier_frequency_hz)
+    frame = apply_channel(grid, paths, scenario.snr_db, _noise_seed(scenario, pair_spec))
+    est = estimate_channel(frame, grid, user_id=scenario.process_user)
+    del frame
+    cir = delay_transform(est, window=scenario.delay_window)
+    del est
+    sf = doppler_transform(cir, window=scenario.doppler_window,
+                           num_symbols=scenario.doppler_window_symbols)
+    del cir
+    smap = scattering_map(sf)
+    del sf
+
+    map_file = out / f"map_{pair_spec.tx}_{pair_spec.rx}.bin"
+    write_map(map_file, smap)
+    detections = cfar_detect(suppress_clutter(smap, scenario.notch_half_width_bins),
+                             scenario.cfar)
+    det_file = out / f"detections_{pair_spec.tx}_{pair_spec.rx}.csv"
+    write_detections_csv(det_file, pair_spec.pair_id, detections)
+    return PairResult(pair=pair_spec, paths=paths, detections=detections,
+                      map_file=map_file, detections_file=det_file)
+
+
 def run_scenario(scenario, out_dir=None, seed=None, log=None) -> RunResult:
     """Execute a scenario end to end and write its artifacts.
 
@@ -483,36 +517,8 @@ def run_scenario(scenario, out_dir=None, seed=None, log=None) -> RunResult:
                 f"{bound * 1e3:.1f} ms range-migration bound at {fastest:.1f} m/s"
             )
 
-    pair_results = []
-    for pair_spec in scenario.pairs:
-        pair = scene.pair(pair_spec.tx, pair_spec.rx)
-        paths = enumerate_paths(scene, pair, scenario.numerology.carrier_frequency_hz)
-        frame = apply_channel(grid, paths, scenario.snr_db, _noise_seed(scenario, pair_spec))
-        est = estimate_channel(frame, grid, user_id=scenario.process_user)
-        cir = delay_transform(est, window=scenario.delay_window)
-        sf = doppler_transform(
-            cir, window=scenario.doppler_window,
-            num_symbols=scenario.doppler_window_symbols,
-        )
-        smap = scattering_map(sf)
-
-        map_file = out / f"map_{pair_spec.tx}_{pair_spec.rx}.bin"
-        write_map(map_file, smap)
-
-        notched = suppress_clutter(smap, scenario.notch_half_width_bins)
-        detections = cfar_detect(notched, scenario.cfar)
-        det_file = out / f"detections_{pair_spec.tx}_{pair_spec.rx}.csv"
-        write_detections_csv(det_file, pair_spec.pair_id, detections)
-
-        pair_results.append(
-            PairResult(
-                pair=pair_spec,
-                paths=paths,
-                detections=detections,
-                map_file=map_file,
-                detections_file=det_file,
-            )
-        )
+    pair_results = [_run_pair(scenario, scene, grid, pair_spec, out)
+                     for pair_spec in scenario.pairs]
 
     positions = []
     positions_file = None

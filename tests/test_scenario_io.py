@@ -342,6 +342,12 @@ def test_cli_run_beyond_narrowband_exits_1_without_traceback(tmp_path, capsys):
         ({"notch_half_width_bins": 35}, "$.notch_half_width_bins"),
         ({"cfar": {"train_cells": 0}}, "$.cfar.train_cells"),
         ({"cfar": {"guard_cells": -1}}, "$.cfar.guard_cells"),
+        # random_allocation accepts densities in (0, 1] only
+        ({"allocation": {"type": "random", "user": "u0", "density": 1.5, "seed": 3}},
+         "$.allocation.density"),
+        ({"process_user": "u7"}, "$.process_user"),
+        ({"allocation": {"type": "tiles", "tiles": [["u0", 0, 0, 20], ["u1", 1, 0, 20]]},
+          "process_user": "u2"}, "$.process_user"),
     ],
 )
 def test_cli_validate_rejects_what_run_would_reject(tmp_path, capsys, overrides, expected):
@@ -358,3 +364,20 @@ def test_validate_accepts_largest_window_and_notch_that_run(tmp_path):
     path = write_scenario(tmp_path, doc)
     assert cli_main(["validate", str(path)]) == 0
     assert cli_main(["run", str(path), "--out", str(tmp_path / "out")]) == 0
+
+
+def test_validate_accepts_full_density_and_an_allocated_process_user(tmp_path):
+    doc = mini_scenario(
+        allocation={"type": "tiles", "tiles": [["u0", 0, 0, 20], ["u1", 1, 0, 20],
+                                               ["u1", 2, 0, 20]]},
+        process_user="u1",
+        localization=False,
+    )
+    path = write_scenario(tmp_path, doc, name="tiles.json")
+    assert cli_main(["validate", str(path)]) == 0
+    assert cli_main(["run", str(path), "--out", str(tmp_path / "tiles")]) == 0
+    doc = mini_scenario(allocation={"type": "random", "user": "u0", "density": 1.0, "seed": 3},
+                        process_user="u0")
+    path = write_scenario(tmp_path, doc, name="random.json")
+    assert cli_main(["validate", str(path)]) == 0
+    assert cli_main(["run", str(path), "--out", str(tmp_path / "random")]) == 0
