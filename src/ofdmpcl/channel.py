@@ -101,11 +101,13 @@ def apply_channel(
         allocated = grid.allocated_mask
         if not np.any(allocated):
             raise ValueError("cannot calibrate noise on an empty grid")
-        signal_power = float(np.mean(np.abs(received[allocated]) ** 2))
+        # |received|^2 goes into the buffer the noise is later drawn into.
+        noise = np.abs(received)
+        noise *= noise
+        signal_power = float(np.mean(noise[allocated]))
         noise_power = signal_power * 10.0 ** (-noise_snr_db / 10.0)
         rng = np.random.default_rng(rng_seed)
         scale = np.sqrt(noise_power / 2.0)
-        noise = np.empty(received.shape)
         for part in (received.real, received.imag):
             rng.standard_normal(out=noise)
             noise *= scale

@@ -23,6 +23,10 @@ from .errors import DimensionMismatch, EmptyReference
 from .geometry import SPEED_OF_LIGHT
 from .grid import Numerology, ResourceGrid, user_subgrid
 
+# Rows per block of the slow-time transform: small enough that the block
+# buffer stays in cache, large enough to amortize the per-call overhead.
+_DOPPLER_BLOCK_ROWS = 64
+
 
 def window_vector(name: str, n: int) -> np.ndarray:
     """Taper coefficients by name; "rect" is all ones, so the transforms skip it."""
@@ -117,8 +121,11 @@ def delay_transform(est: ChannelEstimate, window: str = "rect") -> ImpulseRespon
     baseline estimator for partially allocated grids.
     """
     m = est.h.shape[0]
-    h = est.h if window == "rect" else window_vector(window, m)[:, None] * est.h
-    h = np.fft.ifft(h, axis=0)
+    if window == "rect":
+        h = np.fft.ifft(est.h, axis=0)
+    else:
+        h = window_vector(window, m)[:, None] * est.h
+        np.fft.ifft(h, axis=0, out=h)
     h *= np.sqrt(m)
     return ImpulseResponse(h=h, numerology=est.numerology)
 
@@ -129,17 +136,28 @@ def doppler_transform(
     """Slow-time DFT filter bank over the first ``num_symbols`` symbols.
 
     Output columns span (-D/2 .. D/2 - 1) * doppler_bin_hz after the shift,
-    so static paths land in the center column.
+    so static paths land in the center column. Rows go through one small
+    buffer in blocks, and each block's spectrum is written straight into its
+    shifted columns, so neither a tapered copy nor the unshifted spectrum
+    exists at full size.
     """
     h = cir.h if num_symbols is None else cir.h[:, :num_symbols]
-    d = h.shape[1]
+    m, d = h.shape
     if d < 2:
         raise ValueError("Doppler transform needs at least 2 symbols")
-    if window != "rect":
-        h = window_vector(window, d)[None, :] * h
-    h = np.fft.fft(h, axis=1)  # rebinding frees the tapered copy before the shift
-    s = np.fft.fftshift(h, axes=1)
-    s /= np.sqrt(d)
+    taper = None if window == "rect" else window_vector(window, d)
+    dtype = h.dtype if taper is None else np.result_type(taper, h)
+    s = np.empty((m, d), dtype=dtype)
+    block = np.empty((min(m, _DOPPLER_BLOCK_ROWS), d), dtype=dtype)
+    scale = np.sqrt(d)
+    neg = d // 2  # fftshift moves spectrum column k to (k + neg) % d
+    for r0 in range(0, m, _DOPPLER_BLOCK_ROWS):
+        rows = slice(r0, min(r0 + _DOPPLER_BLOCK_ROWS, m))
+        buf = block[: rows.stop - r0]
+        rows_in = h[rows] if taper is None else np.multiply(taper, h[rows], out=buf)
+        np.fft.fft(rows_in, axis=1, out=buf)
+        np.divide(buf[:, : d - neg], scale, out=s[rows, neg:])
+        np.divide(buf[:, d - neg :], scale, out=s[rows, :neg])
     return SpreadingFunction(
         s=s,
         delay_bin_s=cir.numerology.delay_bin_s,

@@ -106,7 +106,7 @@ class ResourceGrid:
         return [m.user_id for m in self.masks]
 
 
-def _tile_slices(numerology: Numerology, tile, user_id: str) -> tuple[slice, slice]:
+def tile_slices(numerology: Numerology, tile, user_id: str) -> tuple[slice, slice]:
     """Map one (prb_row, col_start, col_end) tile to (carrier, symbol) slices.
 
     Column bounds are in slot units (7 symbols each), end exclusive.
@@ -151,7 +151,7 @@ def build_grid(numerology: Numerology, allocations, rng_seed: int) -> ResourceGr
     for user_id, tiles in allocations.items():
         user_mask = np.zeros(shape, dtype=bool)
         for tile in tiles:
-            rows, cols = _tile_slices(numerology, tile, user_id)
+            rows, cols = tile_slices(numerology, tile, user_id)
             coverage[rows, cols] += 1
             user_mask[rows, cols] = True
         masks.append(AllocationMask(user_id=str(user_id), mask=user_mask))

@@ -36,10 +36,19 @@ from .dsp import (
 from .errors import (
     AmbiguousFix,
     NoConvergence,
+    OutOfBounds,
     ScenarioError,
 )
 from .geometry import SPEED_OF_LIGHT, Node, Scene, enumerate_paths
-from .grid import Numerology, ResourceGrid, build_grid, full_allocation, random_allocation
+from .grid import (
+    PRB_SYMBOLS,
+    Numerology,
+    ResourceGrid,
+    build_grid,
+    full_allocation,
+    random_allocation,
+    tile_slices,
+)
 from .locate import fuse_position, measurement_from_detection
 from .mapfile import (
     write_detections_csv,
@@ -191,7 +200,7 @@ def scenario_from_dict(data: dict, name: str = "scenario") -> Scenario:
             chk.fail(key, "unknown field")
 
     scenario_name = data.get("name", name)
-    seed = chk.integer(data, "", "seed", default=0)
+    seed = chk.integer(data, "", "seed", default=0, minimum=0)
 
     num_block = data.get("numerology")
     numerology = None
@@ -200,7 +209,8 @@ def scenario_from_dict(data: dict, name: str = "scenario") -> Scenario:
     else:
         spacing = chk.number(num_block, "numerology.", "subcarrier_spacing_hz", default=15e3, minimum=1e-9)
         m = chk.integer(num_block, "numerology.", "num_carriers", minimum=12)
-        d_total = chk.integer(num_block, "numerology.", "symbols_per_frame", minimum=1)
+        # Every allocation is made of whole 7-symbol slots.
+        d_total = chk.integer(num_block, "numerology.", "symbols_per_frame", minimum=PRB_SYMBOLS)
         cp = chk.number(num_block, "numerology.", "cp_fraction", default=1.0 / 14.0)
         fc = chk.number(num_block, "numerology.", "carrier_frequency_hz", default=5.9e9, minimum=1e-9)
         if cp is not None and not 0.0 <= cp <= 0.5:
@@ -288,6 +298,11 @@ def scenario_from_dict(data: dict, name: str = "scenario") -> Scenario:
         if not isinstance(tiles, list) or not tiles:
             chk.fail("allocation.tiles", "expected a non-empty array")
         else:
+            # PRB rows x slots already claimed: tiles are PRB-aligned, so this
+            # is build_grid's element-level overlap rule at PRB granularity.
+            claimed = None
+            if numerology:
+                claimed = np.zeros((numerology.prb_rows, numerology.prb_cols), dtype=bool)
             for i, tile in enumerate(tiles):
                 if (
                     not isinstance(tile, list)
@@ -301,11 +316,22 @@ def scenario_from_dict(data: dict, name: str = "scenario") -> Scenario:
                     )
                 else:
                     users.add(tile[0])
+                    if claimed is None:
+                        continue
+                    try:
+                        tile_slices(numerology, tile[1:], tile[0])
+                    except OutOfBounds as exc:
+                        chk.fail(f"allocation.tiles[{i}]", str(exc))
+                        continue
+                    row, col_start, col_end = tile[1:]
+                    if claimed[row, col_start:col_end].any():
+                        chk.fail(f"allocation.tiles[{i}]", "overlaps an earlier tile")
+                    claimed[row, col_start:col_end] = True
     elif alloc_type == "random":
         density = chk.number(allocation, "allocation.", "density", minimum=1e-9)
         if density is not None and density > 1.0:
             chk.fail("allocation.density", "must lie in (0, 1]")
-        chk.integer(allocation, "allocation.", "seed", default=0)
+        chk.integer(allocation, "allocation.", "seed", default=0, minimum=0)
         users.add(chk.string(allocation, "allocation.", "user", default="u0"))
     elif alloc_type == "full":
         users.add(chk.string(allocation, "allocation.", "user", default="u0"))
@@ -490,6 +516,8 @@ def run_scenario(scenario, out_dir=None, seed=None, log=None) -> RunResult:
     if not isinstance(scenario, Scenario):
         scenario = load_scenario(scenario)
     if seed is not None:
+        if seed < 0:
+            raise ScenarioError([f"at $.seed: seed override {seed} must be >= 0"])
         scenario = dataclasses.replace(scenario, seed=int(seed))
     log = log or (lambda msg: print(msg, file=sys.stderr))
 

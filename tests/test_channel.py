@@ -10,6 +10,7 @@ from ofdmpcl import (
     build_grid,
     channel_response,
     full_allocation,
+    random_allocation,
 )
 from oracles import channel_response_sum, time_domain_receive
 
@@ -185,3 +186,17 @@ def test_channel_response_without_paths_is_complex_zeros():
     assert response.shape == (NUM.num_carriers, NUM.symbols_per_frame)
     assert response.dtype == np.complex128
     assert not np.any(response)
+
+
+def test_noisy_frame_matches_the_masked_mean_calibration():
+    # A random allocation, so the mean runs over a strict subset of elements.
+    grid = build_grid(NUM, random_allocation(NUM, "u0", 0.5, seed=4), rng_seed=2)
+    paths = [path(gain=0.7 - 0.1j), path(3 * NUM.delay_bin_s, 150.0, 0.2 + 0.1j)]
+    frame = apply_channel(grid, paths, noise_snr_db=12.0, rng_seed=9)
+    received = channel_response(NUM, paths) * grid.symbols
+    signal_power = float(np.mean(np.abs(received[grid.allocated_mask]) ** 2))
+    scale = np.sqrt(signal_power * 10.0 ** (-12.0 / 10.0) / 2.0)
+    rng = np.random.default_rng(9)
+    received.real += rng.standard_normal(received.shape) * scale
+    received.imag += rng.standard_normal(received.shape) * scale
+    assert np.array_equal(frame.symbols, received)

@@ -17,7 +17,7 @@ from ofdmpcl import (
     scattering_map,
     user_subgrid,
 )
-from ofdmpcl.dsp import ChannelEstimate
+from ofdmpcl.dsp import _DOPPLER_BLOCK_ROWS, ChannelEstimate
 from oracles import (
     center_zero_frequency,
     direct_unitary_dft_axis1,
@@ -323,3 +323,45 @@ def test_max_integration_time_values():
     assert max_integration_time(1e9, bin_80mhz) < 1e-8
     with pytest.raises(ValueError):
         max_integration_time(0.0, bin_80mhz)
+
+
+def _literal_delay(h, window):
+    """The delay transform as one tapered copy, one IFFT and one scale."""
+    m = h.shape[0]
+    if window != "rect":
+        h = np.hanning(m)[:, None] * h
+    out = np.fft.ifft(h, axis=0)
+    out *= np.sqrt(m)
+    return out
+
+
+def _literal_doppler(h, window, num_symbols):
+    """The Doppler transform as one tapered copy, one FFT, fftshift and scale."""
+    h = h if num_symbols is None else h[:, :num_symbols]
+    d = h.shape[1]
+    if window != "rect":
+        h = np.hanning(d)[None, :] * h
+    out = np.fft.fftshift(np.fft.fft(h, axis=1), axes=1)
+    out /= np.sqrt(d)
+    return out
+
+
+@pytest.mark.parametrize("window", ["rect", "hann"])
+@pytest.mark.parametrize("dtype", [np.complex128, np.complex64])
+def test_transforms_equal_their_literal_formulation_bitwise(window, dtype):
+    rng = np.random.default_rng(17)
+    # a single partial block, exactly one block, and two blocks plus a remainder
+    for m in (5, _DOPPLER_BLOCK_ROWS, 2 * _DOPPLER_BLOCK_ROWS + 3):
+        for d, num_symbols in ((28, None), (27, None), (28, 21), (27, 20), (2, None)):
+            h = (rng.standard_normal((m, d)) + 1j * rng.standard_normal((m, d))).astype(dtype)
+            est = ChannelEstimate(h=h, valid_mask=np.ones((m, d), bool), numerology=NUM)
+            cir = delay_transform(est, window=window)
+            expected = _literal_delay(h, window)
+            assert cir.h.dtype == expected.dtype
+            assert np.array_equal(cir.h, expected)
+            sf = doppler_transform(cir, window=window, num_symbols=num_symbols)
+            expected = _literal_doppler(cir.h, window, num_symbols)
+            assert sf.s.dtype == expected.dtype
+            assert np.array_equal(sf.s, expected)
+            if window == "rect":
+                assert sf.s.dtype == cir.h.dtype == dtype

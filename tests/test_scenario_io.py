@@ -348,6 +348,29 @@ def test_cli_run_beyond_narrowband_exits_1_without_traceback(tmp_path, capsys):
         ({"process_user": "u7"}, "$.process_user"),
         ({"allocation": {"type": "tiles", "tiles": [["u0", 0, 0, 20], ["u1", 1, 0, 20]]},
           "process_user": "u2"}, "$.process_user"),
+        # np.random.default_rng takes non-negative seeds only
+        ({"seed": -1}, "$.seed"),
+        ({"allocation": {"type": "random", "user": "u0", "density": 0.5, "seed": -3}},
+         "$.allocation.seed"),
+        # 60 carriers hold PRB rows 0..4 and 140 symbols slots 0..19
+        ({"allocation": {"type": "tiles", "tiles": [["u0", 0, 0, 20], ["u0", 60, 0, 20]]}},
+         "$.allocation.tiles[1]"),
+        ({"allocation": {"type": "tiles", "tiles": [["u0", -1, 0, 20]]}},
+         "$.allocation.tiles[0]"),
+        ({"allocation": {"type": "tiles", "tiles": [["u0", 0, 0, 21]]}},
+         "$.allocation.tiles[0]"),
+        ({"allocation": {"type": "tiles", "tiles": [["u0", 0, 5, 5]]}},
+         "$.allocation.tiles[0]"),
+        ({"allocation": {"type": "tiles", "tiles": [["u0", 0, 0, 20], ["u1", 1, 0, 20],
+                                                    ["u1", 0, 19, 20]]}},
+         "$.allocation.tiles[2]"),
+        ({"allocation": {"type": "tiles", "tiles": [["u0", 2, 4, 9], ["u0", 2, 8, 12]]}},
+         "$.allocation.tiles[1]"),
+        # fewer symbols than one 7-symbol slot leave no tile to allocate
+        ({"numerology": {"num_carriers": 60, "symbols_per_frame": 6},
+          "doppler_window_symbols": 6, "notch_half_width_bins": 0,
+          "cfar": {"train_cells": 1, "guard_cells": 0, "pfa": 1e-2}},
+         "$.numerology.symbols_per_frame"),
     ],
 )
 def test_cli_validate_rejects_what_run_would_reject(tmp_path, capsys, overrides, expected):
@@ -381,3 +404,21 @@ def test_validate_accepts_full_density_and_an_allocated_process_user(tmp_path):
     path = write_scenario(tmp_path, doc, name="random.json")
     assert cli_main(["validate", str(path)]) == 0
     assert cli_main(["run", str(path), "--out", str(tmp_path / "random")]) == 0
+
+
+def test_validate_accepts_edge_tiles_that_touch_without_overlap(tmp_path):
+    doc = mini_scenario(
+        allocation={"type": "tiles", "tiles": [["u0", 0, 0, 10], ["u0", 0, 10, 20],
+                                               ["u1", 4, 19, 20], ["u1", 4, 0, 19]]},
+        localization=False,
+    )
+    path = write_scenario(tmp_path, doc)
+    assert cli_main(["validate", str(path)]) == 0
+    assert cli_main(["run", str(path), "--out", str(tmp_path / "out")]) == 0
+
+
+def test_cli_run_negative_seed_override_is_a_configuration_error(tmp_path, capsys):
+    path = write_scenario(tmp_path, mini_scenario())
+    assert cli_main(["run", str(path), "--seed", "-1", "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "$.seed" in err and "Traceback" not in err
