@@ -56,7 +56,6 @@ from .geometry import (
 from .grid import (
     PRB_CARRIERS,
     PRB_SYMBOLS,
-    AllocationMask,
     Numerology,
     ResourceGrid,
     build_grid,

@@ -29,7 +29,6 @@ class SymbolFrame:
 
     symbols: np.ndarray  # complex, (num_carriers, symbols_per_frame)
     numerology: Numerology
-    frame_start_time_s: float = 0.0
 
 
 def channel_response(
@@ -113,8 +112,4 @@ def apply_channel(
             noise *= scale
             part += noise
 
-    return SymbolFrame(
-        symbols=received,
-        numerology=grid.numerology,
-        frame_start_time_s=frame_start_time_s,
-    )
+    return SymbolFrame(symbols=received, numerology=grid.numerology)

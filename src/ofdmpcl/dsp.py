@@ -30,7 +30,7 @@ _DOPPLER_BLOCK_ROWS = 64
 
 def window_vector(name: str, n: int) -> np.ndarray:
     """Taper coefficients by name; "rect" is all ones, so the transforms skip it."""
-    if name in ("rect", "rectangular"):
+    if name == "rect":
         return np.ones(n)
     if name == "hann":
         return np.hanning(n)
@@ -96,7 +96,8 @@ def estimate_channel(
     Divides received by transmitted on every allocated element; for
     unit-modulus references this equals conjugate multiplication. With
     ``user_id`` the reference is first restricted to that user's elements
-    (uplink rule: each user's allocation is its own measurement).
+    (uplink rule: each user's allocation is its own measurement); the
+    estimate is then computed in that restricted copy's own buffer.
     """
     if user_id is not None:
         ref = user_subgrid(ref, user_id)
@@ -109,7 +110,8 @@ def estimate_channel(
     mask = ref.symbols != 0
     if not np.any(mask):
         raise EmptyReference("reference grid owns no allocated elements")
-    h = np.zeros_like(rx.symbols)
+    # The subgrid's symbols are a fresh array, already zero off the mask.
+    h = np.zeros_like(rx.symbols) if user_id is None else ref.symbols
     np.divide(rx.symbols, ref.symbols, out=h, where=mask)
     return ChannelEstimate(h=h, valid_mask=mask, numerology=ref.numerology)
 

@@ -14,7 +14,7 @@ class OutOfBounds(OfdmPclError):
 
 
 class UnknownUser(OfdmPclError):
-    """Requested user id is not present in the grid's allocation masks."""
+    """Requested user id is not present in the grid's user table."""
 
 
 class CoincidentNodes(OfdmPclError):

@@ -3,12 +3,14 @@
 A resource grid is an M x D matrix of frequency-domain symbols (M carriers,
 D OFDM symbols). Users own rectangular PRB tiles of 12 carriers x 7 symbols;
 everything a user owns is filled with seeded unit-power QPSK, everything else
-is exactly zero.
+is exactly zero. Ownership is one integer array of the grid's shape: ``owner``
+holds each element's index into the ``users`` tuple of user ids, -1 where no
+user owns it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -79,31 +81,23 @@ class Numerology:
 
 
 @dataclass
-class AllocationMask:
-    """Boolean ownership mask of one user over the resource grid."""
-
-    user_id: str
-    mask: np.ndarray  # bool, (num_carriers, symbols_per_frame)
-
-
-@dataclass
 class ResourceGrid:
     """Transmit frame: QPSK symbols on allocated elements, zeros elsewhere."""
 
     numerology: Numerology
     symbols: np.ndarray  # complex, (num_carriers, symbols_per_frame)
-    masks: list[AllocationMask] = field(default_factory=list)
+    owner: np.ndarray  # signed int, same shape: index into users, -1 if unallocated
+    users: tuple[str, ...]
 
     @property
     def allocated_mask(self) -> np.ndarray:
-        """Union of all user masks."""
-        union = np.zeros(self.symbols.shape, dtype=bool)
-        for m in self.masks:
-            union |= m.mask
-        return union
+        """Elements that some user owns."""
+        return self.owner >= 0
 
-    def user_ids(self) -> list[str]:
-        return [m.user_id for m in self.masks]
+
+def _owner_dtype(num_users: int) -> np.dtype:
+    """Smallest signed integer type holding -1 and every user index."""
+    return np.min_scalar_type(-max(num_users, 1))
 
 
 def tile_slices(numerology: Numerology, tile, user_id: str) -> tuple[slice, slice]:
@@ -146,39 +140,50 @@ def build_grid(numerology: Numerology, allocations, rng_seed: int) -> ResourceGr
     OutOfBounds, OverlappingAllocation
     """
     shape = (numerology.num_carriers, numerology.symbols_per_frame)
-    coverage = np.zeros(shape, dtype=np.int32)
-    masks = []
-    for user_id, tiles in allocations.items():
-        user_mask = np.zeros(shape, dtype=bool)
-        for tile in tiles:
-            rows, cols = tile_slices(numerology, tile, user_id)
-            coverage[rows, cols] += 1
-            user_mask[rows, cols] = True
-        masks.append(AllocationMask(user_id=str(user_id), mask=user_mask))
-    if np.any(coverage > 1):
-        m, d = np.argwhere(coverage > 1)[0]
+    users = tuple(str(user_id) for user_id in allocations)
+    # Every tile is resolved before any is written, so bounds errors come first.
+    placed = [
+        (k, *tile_slices(numerology, tile, user_id))
+        for k, (user_id, tiles) in enumerate(allocations.items())
+        for tile in tiles
+    ]
+    owner = np.full(shape, -1, dtype=_owner_dtype(len(users)))
+    clash = None
+    for k, rows, cols in placed:
+        block = owner[rows, cols]
+        if block.max() >= 0:
+            m, d = np.argwhere(block >= 0)[0]
+            hit = (rows.start + int(m), cols.start + int(d))
+            clash = hit if clash is None else min(clash, hit)
+        block[...] = k
+    if clash is not None:
         raise OverlappingAllocation(
-            f"resource element (carrier {m}, symbol {d}) is claimed more than once"
+            f"resource element (carrier {clash[0]}, symbol {clash[1]}) is claimed "
+            "more than once"
         )
 
     # Draw symbols for the whole grid so co-located elements are independent
     # of which tiles surround them, then blank the unallocated ones.
     rng = np.random.default_rng(rng_seed)
     symbols = _QPSK[rng.integers(0, 4, size=shape)]
-    symbols[coverage == 0] = 0.0
-    return ResourceGrid(numerology=numerology, symbols=symbols, masks=masks)
+    symbols[owner < 0] = 0.0
+    return ResourceGrid(numerology=numerology, symbols=symbols, owner=owner, users=users)
 
 
 def user_subgrid(grid: ResourceGrid, user_id: str) -> ResourceGrid:
-    """Project a grid onto one user: keep its elements, zero all others."""
-    for m in grid.masks:
-        if m.user_id == user_id:
-            return ResourceGrid(
-                numerology=grid.numerology,
-                symbols=np.where(m.mask, grid.symbols, 0.0),
-                masks=[AllocationMask(user_id=m.user_id, mask=m.mask.copy())],
-            )
-    raise UnknownUser(f"user {user_id!r} not present in grid")
+    """Project a grid onto one user: keep its elements, zero all others.
+
+    The returned symbols are a new array, so callers may write into them.
+    """
+    if user_id not in grid.users:
+        raise UnknownUser(f"user {user_id!r} not present in grid")
+    mine = grid.owner == grid.users.index(user_id)
+    return ResourceGrid(
+        numerology=grid.numerology,
+        symbols=np.where(mine, grid.symbols, 0.0),
+        owner=mine.astype(_owner_dtype(1)) - 1,
+        users=(user_id,),
+    )
 
 
 def full_allocation(numerology: Numerology, user_id: str = "u0") -> dict:

@@ -93,44 +93,11 @@ class Scenario:
 
     def to_dict(self) -> dict:
         """Complete configuration echo; re-running it reproduces the outputs."""
-        return {
-            "name": self.name,
-            "seed": self.seed,
-            "numerology": {
-                "subcarrier_spacing_hz": self.numerology.subcarrier_spacing_hz,
-                "num_carriers": self.numerology.num_carriers,
-                "symbols_per_frame": self.numerology.symbols_per_frame,
-                "cp_fraction": self.numerology.cp_fraction,
-                "carrier_frequency_hz": self.numerology.carrier_frequency_hz,
-            },
-            "nodes": [
-                {
-                    "id": n.id,
-                    "kind": n.kind,
-                    "position_m": list(n.position),
-                    "velocity_mps": list(n.velocity),
-                    "reflectivity": n.reflectivity,
-                }
-                for n in self.nodes
-            ],
-            "pairs": [{"tx": p.tx, "rx": p.rx} for p in self.pairs],
-            "allocation": self.allocation,
-            "snr_db": self.snr_db,
-            "doppler_window_symbols": self.doppler_window_symbols,
-            "delay_window": self.delay_window,
-            "doppler_window": self.doppler_window,
-            "notch_half_width_bins": self.notch_half_width_bins,
-            "cfar": {
-                "train_cells": self.cfar.train_cells,
-                "guard_cells": self.cfar.guard_cells,
-                "pfa": self.cfar.pfa,
-            },
-            "reference_power_range_m": self.reference_power_range_m,
-            "los_excess_db": self.los_excess_db,
-            "process_user": self.process_user,
-            "localization": self.localization,
-            "output_dir": self.output_dir,
-        }
+        echo = dataclasses.asdict(self)
+        for node in echo["nodes"]:
+            node["position_m"] = node.pop("position").tolist()
+            node["velocity_mps"] = node.pop("velocity").tolist()
+        return echo
 
 
 class _Checker:

@@ -293,7 +293,7 @@ def test_criterion_5_sparse_grid_consistency():
         frame = apply_channel(grid, paths, noise_snr_db=22.0, rng_seed=9)
         full = estimate_channel(frame, grid)
         for uid in ("u0", "u1", "u2"):
-            mask = next(m.mask for m in grid.masks if m.user_id == uid)
+            mask = grid.owner == grid.users.index(uid)
             masked = ChannelEstimate(
                 h=np.where(mask, full.h, 0.0), valid_mask=mask, numerology=num
             )

@@ -89,6 +89,15 @@ def test_run_scenario_peak_memory_stays_near_three_grids(tmp_path):
         "random": dataclasses.replace(
             scenario, allocation={"type": "random", "user": "u0", "density": 0.5, "seed": 3}
         ),
+        # Uplink rule: one user's band of a three-user grid is its own measurement.
+        "process_user": dataclasses.replace(
+            scenario,
+            allocation={"type": "tiles", "tiles": [
+                [f"u{row * 3 // num.prb_rows}", row, 0, num.prb_cols]
+                for row in range(num.prb_rows)
+            ]},
+            process_user="u1",
+        ),
     }
     for name, variant in variants.items():
         tracemalloc.start()

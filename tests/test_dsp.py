@@ -73,7 +73,7 @@ def test_per_user_estimates_partition_full_grid_support():
     frame = apply_channel(grid, [path], noise_snr_db=None, rng_seed=0)
     full = estimate_channel(frame, grid)
     union = np.zeros_like(full.valid_mask)
-    for uid in grid.user_ids():
+    for uid in grid.users:
         per_user = estimate_channel(frame, grid, user_id=uid)
         assert not np.any(union & per_user.valid_mask)
         union |= per_user.valid_mask
@@ -260,10 +260,10 @@ def test_masked_full_grid_equals_subgrid_processing_bitwise():
     path = Path(3 * NUM.delay_bin_s, 170.0, 0.8 + 0.2j, "target")
     frame = apply_channel(grid, [path], noise_snr_db=25.0, rng_seed=11)
 
-    for uid in grid.user_ids():
+    for uid in grid.users:
         # full-grid estimate masked afterwards
         full = estimate_channel(frame, grid)
-        mask = next(m.mask for m in grid.masks if m.user_id == uid)
+        mask = grid.owner == grid.users.index(uid)
         masked = ChannelEstimate(
             h=np.where(mask, full.h, 0.0), valid_mask=mask, numerology=NUM
         )

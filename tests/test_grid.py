@@ -25,8 +25,8 @@ THREE_USERS = {
 def test_interleaved_support_is_union_of_tiles():
     grid = build_grid(NUM, THREE_USERS, rng_seed=1)
     union = np.zeros((72, 28), dtype=bool)
-    for m in grid.masks:
-        union |= m.mask
+    for k in range(len(grid.users)):
+        union |= grid.owner == k
     assert np.array_equal(grid.symbols != 0, union)
     # 13 tiles of 12x7 elements each
     assert union.sum() == 13 * 12 * 7
@@ -71,7 +71,7 @@ def test_out_of_bounds_tiles_rejected():
 def test_subgrid_projects_onto_user_mask():
     grid = build_grid(NUM, THREE_USERS, rng_seed=1)
     sub = user_subgrid(grid, "u2")
-    mask = next(m.mask for m in grid.masks if m.user_id == "u2")
+    mask = grid.owner == grid.users.index("u2")
     assert np.array_equal(sub.symbols != 0, mask)
     assert np.array_equal(sub.symbols[mask], grid.symbols[mask])
     assert sub.numerology == grid.numerology
@@ -92,7 +92,7 @@ def test_subgrid_unknown_user():
 def test_user_subgrids_partition_the_grid():
     # Disjointness makes the per-user subgrids sum back to the original.
     grid = build_grid(NUM, THREE_USERS, rng_seed=5)
-    total = sum(user_subgrid(grid, uid).symbols for uid in grid.user_ids())
+    total = sum(user_subgrid(grid, uid).symbols for uid in grid.users)
     assert np.array_equal(total, grid.symbols)
 
 
@@ -112,9 +112,9 @@ def test_random_multiuser_allocations_stay_disjoint():
             if tiles:
                 allocations[user] = tiles
         grid = build_grid(NUM, allocations, rng_seed=7)
-        stack = np.array([m.mask for m in grid.masks])
+        stack = np.array([grid.owner == k for k in range(len(grid.users))])
         assert np.all(stack.sum(axis=0) <= 1)
-        total = sum(user_subgrid(grid, uid).symbols for uid in grid.user_ids())
+        total = sum(user_subgrid(grid, uid).symbols for uid in grid.users)
         assert np.array_equal(total, grid.symbols)
 
 
@@ -158,3 +158,29 @@ def test_out_of_bounds_reported_before_overlap():
     allocations = {"u0": [(0, 0, 1)], "u1": [(0, 0, 1), (NUM.prb_rows, 0, 1)]}
     with pytest.raises(OutOfBounds):
         build_grid(NUM, allocations, rng_seed=0)
+
+
+@pytest.mark.parametrize("num_users, dtype", [(128, np.int8), (132, np.int16)])
+def test_one_user_per_tile_past_the_int8_range(num_users, dtype):
+    # 12 PRB rows x 11 slots: the last user index needs int16 only past 127.
+    num = Numerology(num_carriers=144, symbols_per_frame=77)
+    tiles = [(row, col) for row in range(num.prb_rows) for col in range(num.prb_cols)]
+    allocations = {f"u{k}": [(row, col, col + 1)] for k, (row, col) in enumerate(tiles[:num_users])}
+    grid = build_grid(num, allocations, rng_seed=4)
+    assert grid.owner.dtype == dtype
+    total = np.zeros_like(grid.symbols)
+    for uid, [(row, col, _)] in allocations.items():
+        sub = user_subgrid(grid, uid)
+        own = np.zeros(grid.symbols.shape, dtype=bool)
+        own[row * 12:(row + 1) * 12, col * 7:(col + 1) * 7] = True
+        assert np.array_equal(sub.symbols != 0, own)
+        assert np.array_equal(sub.symbols[own], grid.symbols[own])
+        total += sub.symbols
+    assert np.array_equal(total, grid.symbols)
+
+
+def test_grid_without_users_is_all_zero():
+    grid = build_grid(NUM, {}, rng_seed=0)
+    assert grid.users == ()
+    assert not np.any(grid.symbols)
+    assert not np.any(grid.allocated_mask)
