@@ -31,6 +31,17 @@ class SymbolFrame:
     numerology: Numerology
 
 
+def check_path(numerology: Numerology, delay_s: float, doppler_hz: float) -> None:
+    """Raise unless one path's delay fits the CP and its Doppler the narrowband bound."""
+    if not 0.0 <= delay_s < numerology.cp_duration_s:
+        raise DelayExceedsCp(f"path delay {delay_s * 1e9:.1f} ns outside cyclic prefix "
+                             f"[0, {numerology.cp_duration_s * 1e9:.1f} ns)")
+    if not abs(doppler_hz) * numerology.symbol_duration_s <= MAX_DOPPLER_SYMBOL_PRODUCT:
+        raise DopplerExceedsNarrowband(
+            f"doppler {doppler_hz:.0f} Hz violates the narrowband assumption "
+            f"for symbol duration {numerology.symbol_duration_s:.2e} s")
+
+
 def channel_response(
     numerology: Numerology,
     paths: list[Path],
@@ -53,16 +64,7 @@ def channel_response(
     delays = np.array([path.delay_s + timing_offset_s for path in paths])
     dopplers = np.array([path.doppler_hz + freq_offset_hz for path in paths])
     for delay, doppler in zip(delays, dopplers):
-        if not 0.0 <= delay < numerology.cp_duration_s:
-            raise DelayExceedsCp(
-                f"path delay {delay * 1e9:.1f} ns outside cyclic prefix "
-                f"[0, {numerology.cp_duration_s * 1e9:.1f} ns)"
-            )
-        if abs(doppler) * numerology.symbol_duration_s > MAX_DOPPLER_SYMBOL_PRODUCT:
-            raise DopplerExceedsNarrowband(
-                f"doppler {doppler:.0f} Hz violates the narrowband assumption "
-                f"for symbol duration {numerology.symbol_duration_s:.2e} s"
-            )
+        check_path(numerology, delay, doppler)
     # Sum of P separable delay x Doppler ramps as one (M x P) @ (P x D) product.
     gains = np.array([path.gain for path in paths], dtype=np.complex128)
     delay_ramps = np.exp(-2j * np.pi * carrier_hz[:, None] * delays) * gains

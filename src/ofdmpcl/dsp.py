@@ -27,14 +27,14 @@ from .grid import Numerology, ResourceGrid, user_subgrid
 # buffer stays in cache, large enough to amortize the per-call overhead.
 _DOPPLER_BLOCK_ROWS = 64
 
+WINDOWS = {"rect": np.ones, "hann": np.hanning}
+
 
 def window_vector(name: str, n: int) -> np.ndarray:
     """Taper coefficients by name; "rect" is all ones, so the transforms skip it."""
-    if name == "rect":
-        return np.ones(n)
-    if name == "hann":
-        return np.hanning(n)
-    raise ValueError(f"unknown window {name!r} (use 'rect' or 'hann')")
+    if name not in WINDOWS:
+        raise ValueError(f"unknown window {name!r} (use one of {', '.join(WINDOWS)})")
+    return WINDOWS[name](n)
 
 
 @dataclass

@@ -16,7 +16,8 @@ from .errors import CoincidentNodes, UnknownNode
 
 SPEED_OF_LIGHT = 299792458.0  # m/s, exact
 
-NODE_KINDS = ("illuminator", "sensor", "target", "clutter")
+RADIO_KINDS = ("illuminator", "sensor")
+NODE_KINDS = RADIO_KINDS + ("target", "clutter")
 
 
 @dataclass
@@ -207,21 +208,19 @@ def enumerate_paths(
             )
         )
 
-    target_gains = [abs(p.gain) for p in scatter_paths if p.kind == "target"]
-    clutter_gains = [abs(p.gain) for p in scatter_paths if p.kind == "clutter"]
-    if target_gains:
-        yardstick = max(target_gains)
-    elif clutter_gains:
-        yardstick = max(clutter_gains)
-    else:
-        yardstick = scene.reference_power_range_m / pair.baseline_m
-    los_magnitude = 10.0 ** (scene.los_excess_db / 20.0) * yardstick
-
     los = los_path(
         tx,
         rx,
         carrier_frequency_hz,
-        gain_magnitude=los_magnitude,
+        gain_magnitude=los_magnitude(scene, pair, scatter_paths),
         phase=_path_phase(scene, pair.tx_id, pair.rx_id, None),
     )
     return [los] + scatter_paths
+
+
+def los_magnitude(scene: Scene, pair: BistaticPair, scatter_paths: list[Path]) -> float:
+    """Amplitude of the pair's LoS path, by the rule ``enumerate_paths`` states."""
+    target_gains = [abs(p.gain) for p in scatter_paths if p.kind == "target"]
+    clutter_gains = [abs(p.gain) for p in scatter_paths if p.kind == "clutter"]
+    yardstick = target_gains or clutter_gains or [scene.reference_power_range_m / pair.baseline_m]
+    return 10.0 ** (scene.los_excess_db / 20.0) * max(yardstick)

@@ -2,11 +2,13 @@
 
 A scenario is a JSON document with explicit SI units in its field names. It
 describes the OFDM numerology, the scene (nodes and Tx/Rx pairs), the
-allocation, and the processing knobs. ``run_scenario`` executes the whole
-chain per pair - channel simulation, inverse filtering, delay and Doppler
-transforms, clutter notch, CFAR - and writes one scattering-map file and one
-detection CSV per pair, a positions CSV when localization applies, and a
-manifest echoing the effective configuration for reproducibility.
+allocation, and the processing knobs; one table of rows per JSON object gives
+each key's kind, bound and default, and ``scenario_from_dict`` also checks
+every path each pair sees. ``run_scenario`` executes the whole chain per
+pair - channel simulation, inverse filtering, delay and Doppler transforms,
+clutter notch, CFAR - and writes one scattering-map file and one detection
+CSV per pair, a positions CSV when localization applies, and a manifest
+echoing the effective configuration for reproducibility.
 """
 
 from __future__ import annotations
@@ -17,16 +19,17 @@ import hashlib
 import json
 import sys
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field
 from importlib import resources
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .channel import apply_channel
+from .channel import apply_channel, check_path
 from .detect import CfarConfig, cfar_detect, suppress_clutter
 from .dsp import (
+    WINDOWS,
     delay_transform,
     doppler_transform,
     estimate_channel,
@@ -36,11 +39,14 @@ from .dsp import (
 from .errors import (
     AmbiguousFix,
     NoConvergence,
+    OfdmPclError,
     OutOfBounds,
     ScenarioError,
 )
-from .geometry import SPEED_OF_LIGHT, Node, Scene, enumerate_paths
+from .geometry import NODE_KINDS, RADIO_KINDS, SPEED_OF_LIGHT, Node, Scene, enumerate_paths
+from .geometry import bistatic_path, los_magnitude, los_path
 from .grid import (
+    PRB_CARRIERS,
     PRB_SYMBOLS,
     Numerology,
     ResourceGrid,
@@ -55,8 +61,6 @@ from .mapfile import (
     write_map,
     write_positions_csv,
 )
-
-WINDOW_NAMES = ("rect", "hann")
 
 
 @dataclass
@@ -100,277 +104,272 @@ class Scenario:
         return echo
 
 
-class _Checker:
-    """Accumulates path-anchored validation diagnostics."""
+def _is_number(value) -> bool:
+    """A JSON number that converts to a finite float; a bool is not one."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and -sys.float_info.max <= value <= sys.float_info.max)
 
-    def __init__(self):
-        self.messages = []
 
-    def fail(self, path, message):
-        self.messages.append(f"at $.{path}: {message}")
+# kind -> (test, what is expected, conversion to the value kept)
+_KINDS = {
+    "int": (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer", int),
+    "number": (_is_number, "a finite number", float),
+    "str": (lambda v: isinstance(v, str), "a string", str),
+    "bool": (lambda v: isinstance(v, bool), "a boolean", bool),
+    "vec2": (lambda v: isinstance(v, list) and len(v) == 2 and all(map(_is_number, v)),
+             "a pair of finite numbers", lambda v: [float(x) for x in v]),
+    "array": (lambda v: isinstance(v, list) and len(v) > 0, "a non-empty array",
+              lambda v: [list(x) if isinstance(x, list) else x for x in v]),
+    "object": (lambda v: isinstance(v, dict), "an object", dict),
+}
 
-    def number(self, data, path, key, default=None, minimum=None, allow_none=False):
-        value = data.get(key, default)
-        if value is None and allow_none:
-            return None
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            self.fail(f"{path}{key}", "expected a number")
-            return default
-        if minimum is not None and value < minimum:
-            self.fail(f"{path}{key}", f"must be >= {minimum}")
-        return value
 
-    def integer(self, data, path, key, default=None, minimum=None):
-        value = data.get(key, default)
-        if not isinstance(value, int) or isinstance(value, bool):
-            self.fail(f"{path}{key}", "expected an integer")
-            return default
-        if minimum is not None and value < minimum:
-            self.fail(f"{path}{key}", f"must be >= {minimum}")
-        return value
+def _bound(spec) -> tuple:
+    """(test, message) of a bound: the admitted strings, or an interval such
+    as "(0, 1]", which holds each component of a "vec2"."""
+    if isinstance(spec, tuple):
+        return spec.__contains__, f"must be one of {', '.join(spec)}"
+    lo, hi = (float(end) for end in spec[1:-1].split(","))
+    lo_open, hi_open = spec[0] == "(", spec[-1] == ")"
+    return (lambda v: lo <= v <= hi and not (lo_open and v == lo or hi_open and v == hi),
+            f"must lie in {spec}")
 
-    def string(self, data, path, key, default=None, choices=None):
-        value = data.get(key, default)
-        if not isinstance(value, str):
-            self.fail(f"{path}{key}", "expected a string")
-            return default
-        if choices is not None and value not in choices:
-            self.fail(f"{path}{key}", f"must be one of {', '.join(choices)}")
-        return value
 
-    def vector2(self, data, path, key, default=None):
-        value = data.get(key, default)
-        if (
-            not isinstance(value, (list, tuple))
-            or len(value) != 2
-            or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value)
-        ):
-            self.fail(f"{path}{key}", "expected a pair of numbers")
-            return [0.0, 0.0]
-        return [float(value[0]), float(value[1])]
+def _rows(cls=None, **specs) -> dict:
+    """Rows, key -> (kind, bound, default), from ``(kind, bound[, default])``
+    specs. A kind is a name in ``_KINDS``, nested rows, or a list of them for
+    an array of objects. Defaults come from the same-named fields of ``cls``,
+    else the key is required; a None default admits null."""
+    defaults = {f.name: f.default if f.default_factory is MISSING else f.default_factory()
+                for f in (dataclasses.fields(cls) if cls else ())}
+    return {key: (kind, bound and _bound(bound), rest[0] if rest else defaults.get(key, MISSING))
+            for key, (kind, bound, *rest) in specs.items()}
+
+
+_NUMEROLOGY = _rows(
+    Numerology,
+    subcarrier_spacing_hz=("number", "(0, inf)"),
+    num_carriers=("int", f"[{PRB_CARRIERS}, inf)", MISSING),
+    # Every allocation is made of whole 7-symbol slots.
+    symbols_per_frame=("int", f"[{PRB_SYMBOLS}, inf)", MISSING),
+    cp_fraction=("number", "[0, 0.5]"),
+    carrier_frequency_hz=("number", "(0, inf)"),
+)
+_NODE = _rows(
+    Node,
+    id=("str", None),
+    kind=("str", NODE_KINDS),
+    # Keeps ranges and range rates far from float overflow; the cyclic prefix
+    # rejects far smaller scenes anyway.
+    position_m=("vec2", "[-1e9, 1e9]"),
+    velocity_mps=("vec2", "[-1e9, 1e9]", [0.0, 0.0]),
+    reflectivity=("number", "[0, 10]"),  # see reference_power_range_m
+)
+_PAIR = _rows(tx=("str", None), rx=("str", None))
+_CFAR = _rows(CfarConfig, train_cells=("int", "[1, inf)"), guard_cells=("int", "[0, inf)"),
+              pfa=("number", "(0, 0.5)"))
+_USER = ("str", None, "u0")
+_SEED = ("int", "[0, inf)", 0)  # np.random.default_rng takes non-negative seeds only
+_ALLOCATIONS = {
+    "full": _rows(type=("str", None), user=_USER),
+    "random": _rows(type=("str", None), user=_USER, density=("number", "(0, 1]"), seed=_SEED),
+    "tiles": _rows(type=("str", None), tiles=("array", None)),
+}
+_SCENARIO = _rows(
+    Scenario,
+    name=("str", None),
+    seed=_SEED,
+    numerology=(_NUMEROLOGY, None),
+    nodes=([_NODE], None),
+    pairs=([_PAIR], None),
+    allocation=("object", None, {"type": "full"}),
+    # Noise is 10**(-snr_db / 10) of the signal, which overflows far below -100 dB.
+    snr_db=("number", "[-100, inf)", None),
+    doppler_window_symbols=("int", "[2, inf)", None),  # None: the whole frame
+    delay_window=("str", tuple(WINDOWS)),
+    doppler_window=("str", tuple(WINDOWS)),
+    notch_half_width_bins=("int", "[0, inf)"),
+    cfar=(_CFAR, None, {}),
+    # Path amplitudes scale with its square, reflectivity and 10**(los_excess_db
+    # / 20). These bounds keep each factor finite, and the maps of scenes with
+    # metre-scale ranges inside float32; _check_paths covers closer ranges.
+    reference_power_range_m=("number", "(0, 1e4]"),
+    los_excess_db=("number", "[-100, 100]"),
+    process_user=("str", None),
+    localization=("bool", None),
+    output_dir=("str", None),
+)
+
+
+def _problem(value, kind, bound, default) -> str | None:
+    """What is wrong with one value of a row, if anything."""
+    if value is None and default is None:
+        return None
+    test, expected, _ = _KINDS["array" if isinstance(kind, list) else kind]
+    if not test(value):
+        return f"expected {expected}" + (" or null" if default is None else "")
+    if bound and not all(map(bound[0], value if kind == "vec2" else [value])):
+        return bound[1]
+    return None
+
+
+def _read(obj, path: str, rows: dict, errors: list) -> dict | None:
+    """Fresh values of one JSON object by its rows, defaults filled in; each
+    problem goes to ``errors`` with its JSON path and leaves None."""
+    if not isinstance(obj, dict):
+        errors.append(f"at {path}: expected an object")
+        return None
+    errors.extend(f"at {path}.{key}: unknown field" for key in obj if key not in rows)
+    values = {}
+    for key, (kind, bound, default) in rows.items():
+        where, value = f"{path}.{key}", obj.get(key, default)
+        if isinstance(kind, dict) and value is not MISSING:
+            values[key] = _read(value, where, kind, errors)
+            continue
+        problem = "required" if value is MISSING else _problem(value, kind, bound, default)
+        if problem:
+            errors.append(f"at {where}: {problem}")
+            value = None
+        elif isinstance(kind, list):
+            value = [_read(v, f"{where}[{i}]", kind[0], errors) for i, v in enumerate(value)]
+        elif value is not None:
+            value = _KINDS[kind][2](value)
+        values[key] = value
+    return values
+
+
+def _tile_users(tiles: list, numerology: Numerology, errors: list) -> set:
+    """Users of the allocation's tiles; checks shapes, bounds and overlap."""
+    # PRB rows x slots already claimed: tiles are PRB-aligned, so this is
+    # build_grid's element-level overlap rule at PRB granularity.
+    claimed = np.zeros((numerology.prb_rows, numerology.prb_cols), dtype=bool)
+    users = set()
+    for i, tile in enumerate(tiles):
+        where = f"at $.allocation.tiles[{i}]"
+        if not (isinstance(tile, list) and len(tile) == 4 and isinstance(tile[0], str)
+                and all(_KINDS["int"][0](v) for v in tile[1:])):
+            errors.append(f"{where}: expected [user, prb_row, col_start, col_end]")
+            continue
+        users.add(tile[0])
+        try:
+            tile_slices(numerology, tile[1:], tile[0])
+        except OutOfBounds as exc:
+            errors.append(f"{where}: {exc}")
+            continue
+        row, col_start, col_end = tile[1:]
+        if claimed[row, col_start:col_end].any():
+            errors.append(f"{where}: overlaps an earlier tile")
+        claimed[row, col_start:col_end] = True
+    return users
+
+
+def _check_paths(scn: Scenario, errors: list) -> None:
+    """Every path of every pair must fit the channel model and keep the map
+    inside float32; the paths are built without a phase, which neither needs."""
+    num, fc = scn.numerology, scn.numerology.carrier_frequency_hz
+    scene = Scene(nodes=scn.nodes, reference_power_range_m=scn.reference_power_range_m,
+                  los_excess_db=scn.los_excess_db)
+    noise = 1.0 if scn.snr_db is None else 1.0 + 10.0 ** (-scn.snr_db / 10.0)
+    # Every node of the document was kept, so k is its index there.
+    scatterers = [(k, n) for k, n in enumerate(scn.nodes) if n.kind not in RADIO_KINDS]
+    for i, spec in enumerate(scn.pairs):
+        tx, rx = scene.node(spec.tx), scene.node(spec.rx)
+        paths = []
+        for k, node in scatterers:
+            try:
+                paths.append(bistatic_path(tx, rx, node, fc, scn.reference_power_range_m))
+                check_path(num, paths[-1].delay_s, paths[-1].doppler_hz)
+            except OfdmPclError as exc:
+                errors.append(f"at $.nodes[{k}]: pair {spec.pair_id}: {exc}")
+        try:
+            los = los_path(tx, rx, fc, los_magnitude(scene, scene.pair(spec.tx, spec.rx), paths))
+            check_path(num, los.delay_s, los.doppler_hz)
+        except OfdmPclError as exc:
+            errors.append(f"at $.pairs[{i}]: {exc}")
+            continue
+        amplitude = abs(los.gain) + sum(abs(p.gain) for p in paths)
+        peak = amplitude * amplitude * num.num_carriers * scn.doppler_window_symbols * noise
+        # float32 holds 3.4e38; noise peaks stay within a few times the mean.
+        if not peak <= 1e36:
+            errors.append(f"at $.pairs[{i}]: path gains give a predicted map peak of "
+                          f"{peak:.3g}, beyond 1e36")
 
 
 def scenario_from_dict(data: dict, name: str = "scenario") -> Scenario:
     """Validate a parsed scenario document; raises ScenarioError on problems."""
     if not isinstance(data, dict):
         raise ScenarioError(["at $: expected a JSON object"])
-    chk = _Checker()
+    errors = []
+    # The caller's name (the file stem) stands in for a missing "name".
+    top = _read({"name": name, **data}, "$", _SCENARIO, errors)
+    num = top["numerology"]
+    numerology = Numerology(**num) if num and None not in num.values() else None
 
-    known = {
-        "name", "seed", "numerology", "nodes", "pairs", "allocation", "snr_db",
-        "doppler_window_symbols", "delay_window", "doppler_window",
-        "notch_half_width_bins", "cfar", "reference_power_range_m",
-        "los_excess_db", "process_user", "localization", "output_dir",
-    }
-    for key in data:
-        if key not in known:
-            chk.fail(key, "unknown field")
-
-    scenario_name = data.get("name", name)
-    seed = chk.integer(data, "", "seed", default=0, minimum=0)
-
-    num_block = data.get("numerology")
-    numerology = None
-    if not isinstance(num_block, dict):
-        chk.fail("numerology", "expected an object")
-    else:
-        spacing = chk.number(num_block, "numerology.", "subcarrier_spacing_hz", default=15e3, minimum=1e-9)
-        m = chk.integer(num_block, "numerology.", "num_carriers", minimum=12)
-        # Every allocation is made of whole 7-symbol slots.
-        d_total = chk.integer(num_block, "numerology.", "symbols_per_frame", minimum=PRB_SYMBOLS)
-        cp = chk.number(num_block, "numerology.", "cp_fraction", default=1.0 / 14.0)
-        fc = chk.number(num_block, "numerology.", "carrier_frequency_hz", default=5.9e9, minimum=1e-9)
-        if cp is not None and not 0.0 <= cp <= 0.5:
-            chk.fail("numerology.cp_fraction", "must lie in [0, 0.5]")
-        if not chk.messages and m and d_total:
-            numerology = Numerology(
-                subcarrier_spacing_hz=float(spacing),
-                num_carriers=m,
-                symbols_per_frame=d_total,
-                cp_fraction=float(cp),
-                carrier_frequency_hz=float(fc),
-            )
-
-    nodes = []
-    node_ids = set()
-    raw_nodes = data.get("nodes")
-    if not isinstance(raw_nodes, list) or not raw_nodes:
-        chk.fail("nodes", "expected a non-empty array")
-        raw_nodes = []
-    for i, raw in enumerate(raw_nodes):
-        prefix = f"nodes[{i}]."
-        if not isinstance(raw, dict):
-            chk.fail(f"nodes[{i}]", "expected an object")
+    nodes, kinds = [], {}
+    for i, raw in enumerate(top["nodes"] or []):
+        if not raw or None in (raw["id"], raw["kind"]):
             continue
-        node_id = chk.string(raw, prefix, "id")
-        kind = chk.string(raw, prefix, "kind", choices=("illuminator", "sensor", "target", "clutter"))
-        position = chk.vector2(raw, prefix, "position_m")
-        velocity = chk.vector2(raw, prefix, "velocity_mps", default=[0.0, 0.0])
-        reflectivity = chk.number(raw, prefix, "reflectivity", default=1.0, minimum=0.0)
-        if node_id is None or kind is None:
-            continue
-        if node_id in node_ids:
-            chk.fail(f"nodes[{i}].id", f"duplicate node id {node_id!r}")
-            continue
-        node_ids.add(node_id)
-        if kind == "clutter" and velocity != [0.0, 0.0]:
-            chk.fail(f"nodes[{i}].velocity_mps", "clutter nodes must be static")
-            velocity = [0.0, 0.0]
-        nodes.append(
-            Node(id=node_id, position=np.array(position), velocity=np.array(velocity),
-                 kind=kind, reflectivity=float(reflectivity))
-        )
+        if raw["id"] in kinds:
+            errors.append(f"at $.nodes[{i}].id: duplicate node id {raw['id']!r}")
+        elif raw["kind"] == "clutter" and raw["velocity_mps"] not in (None, [0.0, 0.0]):
+            errors.append(f"at $.nodes[{i}].velocity_mps: clutter nodes must be static")
+        elif None not in raw.values():
+            nodes.append(Node(id=raw["id"], position=raw["position_m"], kind=raw["kind"],
+                              velocity=raw["velocity_mps"], reflectivity=raw["reflectivity"]))
+        kinds.setdefault(raw["id"], raw["kind"])
 
-    radio_kinds = {"illuminator", "sensor"}
-    by_id = {n.id: n for n in nodes}
     pairs = []
-    raw_pairs = data.get("pairs")
-    if not isinstance(raw_pairs, list) or not raw_pairs:
-        chk.fail("pairs", "expected a non-empty array")
-        raw_pairs = []
-    for i, raw in enumerate(raw_pairs):
-        prefix = f"pairs[{i}]."
-        if not isinstance(raw, dict):
-            chk.fail(f"pairs[{i}]", "expected an object")
+    for i, raw in enumerate(top["pairs"] or []):
+        if not raw or None in raw.values():
             continue
-        tx = chk.string(raw, prefix, "tx")
-        rx = chk.string(raw, prefix, "rx")
-        if tx is None or rx is None:
-            continue
-        ok = True
-        for label, node_id in (("tx", tx), ("rx", rx)):
-            if node_id not in by_id:
-                chk.fail(f"pairs[{i}].{label}", f"unknown node {node_id!r}")
-                ok = False
-            elif by_id[node_id].kind not in radio_kinds:
-                chk.fail(f"pairs[{i}].{label}", f"node {node_id!r} is not a radio node")
-                ok = False
-        if ok and tx == rx:
-            chk.fail(f"pairs[{i}]", "tx and rx must differ")
-            ok = False
-        if ok and any(p.tx == tx and p.rx == rx for p in pairs):
-            chk.fail(f"pairs[{i}]", f"duplicate pair {tx!r}/{rx!r}")
-            ok = False
-        if ok:
+        tx, rx = raw["tx"], raw["rx"]
+        bad = [f"at $.pairs[{i}].{end}: " + (f"node {node_id!r} is not a radio node"
+                                             if node_id in kinds else f"unknown node {node_id!r}")
+               for end, node_id in (("tx", tx), ("rx", rx)) if kinds.get(node_id) not in RADIO_KINDS]
+        if bad:
+            errors.extend(bad)
+        elif tx == rx:
+            errors.append(f"at $.pairs[{i}]: tx and rx must differ")
+        elif any(p.tx == tx and p.rx == rx for p in pairs):
+            errors.append(f"at $.pairs[{i}]: duplicate pair {tx!r}/{rx!r}")
+        else:
             pairs.append(PairSpec(tx=tx, rx=rx))
 
-    allocation = data.get("allocation", {"type": "full", "user": "u0"})
-    if not isinstance(allocation, dict):
-        chk.fail("allocation", "expected an object")
-        allocation = {"type": "full", "user": "u0"}
-    alloc_type = chk.string(allocation, "allocation.", "type", choices=("full", "tiles", "random"))
-    users = set()
-    if alloc_type == "tiles":
-        tiles = allocation.get("tiles")
-        if not isinstance(tiles, list) or not tiles:
-            chk.fail("allocation.tiles", "expected a non-empty array")
-        else:
-            # PRB rows x slots already claimed: tiles are PRB-aligned, so this
-            # is build_grid's element-level overlap rule at PRB granularity.
-            claimed = None
-            if numerology:
-                claimed = np.zeros((numerology.prb_rows, numerology.prb_cols), dtype=bool)
-            for i, tile in enumerate(tiles):
-                if (
-                    not isinstance(tile, list)
-                    or len(tile) != 4
-                    or not isinstance(tile[0], str)
-                    or not all(isinstance(v, int) and not isinstance(v, bool) for v in tile[1:])
-                ):
-                    chk.fail(
-                        f"allocation.tiles[{i}]",
-                        "expected [user, prb_row, col_start, col_end]",
-                    )
-                else:
-                    users.add(tile[0])
-                    if claimed is None:
-                        continue
-                    try:
-                        tile_slices(numerology, tile[1:], tile[0])
-                    except OutOfBounds as exc:
-                        chk.fail(f"allocation.tiles[{i}]", str(exc))
-                        continue
-                    row, col_start, col_end = tile[1:]
-                    if claimed[row, col_start:col_end].any():
-                        chk.fail(f"allocation.tiles[{i}]", "overlaps an earlier tile")
-                    claimed[row, col_start:col_end] = True
-    elif alloc_type == "random":
-        density = chk.number(allocation, "allocation.", "density", minimum=1e-9)
-        if density is not None and density > 1.0:
-            chk.fail("allocation.density", "must lie in (0, 1]")
-        chk.integer(allocation, "allocation.", "seed", default=0, minimum=0)
-        users.add(chk.string(allocation, "allocation.", "user", default="u0"))
-    elif alloc_type == "full":
-        users.add(chk.string(allocation, "allocation.", "user", default="u0"))
+    allocation, users = top["allocation"], set()
+    if allocation is not None:
+        rows = _ALLOCATIONS.get(str(allocation.get("type")))
+        if rows is None:
+            errors.append(f"at $.allocation.type: must be one of {', '.join(_ALLOCATIONS)}")
+        allocation = rows and _read(allocation, "$.allocation", rows, errors)
+    if allocation and allocation.get("tiles") and numerology:
+        users = _tile_users(allocation["tiles"], numerology, errors)
+    elif allocation and allocation.get("user") is not None:
+        users.add(allocation["user"])
+    if top["process_user"] is not None and users and top["process_user"] not in users:
+        errors.append(f"at $.process_user: user {top['process_user']!r} owns no allocation")
 
-    snr_db = chk.number(data, "", "snr_db", default=None, allow_none=True)
-    d_window = chk.integer(data, "", "doppler_window_symbols",
-                           default=numerology.symbols_per_frame if numerology else 2,
-                           minimum=2)
-    if numerology and d_window and d_window > numerology.symbols_per_frame:
-        chk.fail("doppler_window_symbols",
-                 f"exceeds symbols_per_frame ({numerology.symbols_per_frame})")
-
-    delay_window = chk.string(data, "", "delay_window", default="rect", choices=WINDOW_NAMES)
-    doppler_window = chk.string(data, "", "doppler_window", default="rect", choices=WINDOW_NAMES)
-    notch = chk.integer(data, "", "notch_half_width_bins", default=1, minimum=0)
-    if numerology and d_window and 2 * notch + 1 > d_window // 2:
-        chk.fail("notch_half_width_bins",
-                 f"notch of {2 * notch + 1} columns exceeds half of the {d_window} Doppler bins")
-
-    cfar_block = data.get("cfar", {})
-    cfar = CfarConfig()
-    if not isinstance(cfar_block, dict):
-        chk.fail("cfar", "expected an object")
-    else:
-        train = chk.integer(cfar_block, "cfar.", "train_cells", default=8, minimum=1)
-        guard = chk.integer(cfar_block, "cfar.", "guard_cells", default=2, minimum=0)
-        pfa = chk.number(cfar_block, "cfar.", "pfa", default=1e-4, minimum=0.0)
-        if pfa is not None and not 0.0 < pfa < 0.5:
-            chk.fail("cfar.pfa", "must lie in (0, 0.5)")
-        elif train >= 1 and guard >= 0:
-            cfar = CfarConfig(train_cells=train, guard_cells=guard, pfa=float(pfa))
-            if numerology and d_window and min(numerology.num_carriers, d_window) <= cfar.window:
-                chk.fail("cfar.train_cells",
-                         f"{cfar.window}x{cfar.window} CFAR window does not fit the "
-                         f"{numerology.num_carriers}x{d_window} map")
-
-    ref_range = chk.number(data, "", "reference_power_range_m", default=100.0, minimum=1e-9)
-    los_excess = chk.number(data, "", "los_excess_db", default=30.0)
-    process_user = data.get("process_user")
-    if process_user is not None and not isinstance(process_user, str):
-        chk.fail("process_user", "expected a string or null")
-        process_user = None
-    if process_user is not None and users and process_user not in users:
-        chk.fail("process_user", f"user {process_user!r} owns no allocation")
-    localization = data.get("localization", True)
-    if not isinstance(localization, bool):
-        chk.fail("localization", "expected a boolean")
-        localization = True
-    output_dir = chk.string(data, "", "output_dir", default="out")
-
-    if chk.messages:
-        raise ScenarioError(chk.messages)
-
-    return Scenario(
-        name=str(scenario_name),
-        seed=seed,
-        numerology=numerology,
-        nodes=nodes,
-        pairs=pairs,
-        allocation=allocation,
-        snr_db=None if snr_db is None else float(snr_db),
-        doppler_window_symbols=d_window,
-        delay_window=delay_window,
-        doppler_window=doppler_window,
-        notch_half_width_bins=notch,
-        cfar=cfar,
-        reference_power_range_m=float(ref_range),
-        los_excess_db=float(los_excess),
-        process_user=process_user,
-        localization=localization,
-        output_dir=str(output_dir),
-    )
+    d_window, cfar = top["doppler_window_symbols"], top["cfar"]
+    cfar = CfarConfig(**cfar) if cfar and None not in cfar.values() else None
+    if numerology:
+        d_window = d_window or numerology.symbols_per_frame
+        if d_window > numerology.symbols_per_frame:
+            errors.append(f"at $.doppler_window_symbols: exceeds symbols_per_frame "
+                          f"({numerology.symbols_per_frame})")
+        notch = top["notch_half_width_bins"]
+        if notch is not None and 2 * notch + 1 > d_window // 2:
+            errors.append(f"at $.notch_half_width_bins: notch of {2 * notch + 1} columns "
+                          f"exceeds half of the {d_window} Doppler bins")
+        if cfar and min(numerology.num_carriers, d_window) <= cfar.window:
+            errors.append(f"at $.cfar.train_cells: {cfar.window}x{cfar.window} CFAR window "
+                          f"does not fit the {numerology.num_carriers}x{d_window} map")
+    if not errors:
+        scenario = Scenario(**{**top, "numerology": numerology, "nodes": nodes, "pairs": pairs,
+                               "allocation": allocation, "doppler_window_symbols": d_window,
+                               "cfar": cfar})
+        _check_paths(scenario, errors)
+    if errors:
+        raise ScenarioError(errors)
+    return scenario
 
 
 def bundled_scenario_path(name: str) -> Path:
@@ -405,11 +404,9 @@ def load_scenario(path) -> Scenario:
 def _allocations_from_spec(scn: Scenario) -> dict:
     spec = scn.allocation
     if spec["type"] == "full":
-        return full_allocation(scn.numerology, spec.get("user", "u0"))
+        return full_allocation(scn.numerology, spec["user"])
     if spec["type"] == "random":
-        return random_allocation(
-            scn.numerology, spec.get("user", "u0"), spec["density"], spec.get("seed", 0)
-        )
+        return random_allocation(scn.numerology, spec["user"], spec["density"], spec["seed"])
     allocations: dict[str, list] = {}
     for user, row, col_start, col_end in spec["tiles"]:
         allocations.setdefault(user, []).append((row, col_start, col_end))

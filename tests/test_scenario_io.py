@@ -13,7 +13,7 @@ from ofdmpcl.mapfile import (
     render_heatmap,
     write_map,
 )
-from ofdmpcl.scenario import bundled_scenario_path
+from ofdmpcl.scenario import bundled_scenario_path, scenario_from_dict
 
 
 def mini_scenario(**overrides):
@@ -51,6 +51,17 @@ def mini_scenario(**overrides):
     }
     doc.update(overrides)
     return doc
+
+
+def mini_nodes(index, **changes):
+    """The nodes of mini_scenario() with one node's fields changed."""
+    nodes = mini_scenario()["nodes"]
+    nodes[index].update(changes)
+    return nodes
+
+
+def mini_numerology(**changes):
+    return {**mini_scenario()["numerology"], **changes}
 
 
 def write_scenario(tmp_path, doc, name="scn.json"):
@@ -314,18 +325,18 @@ def test_seed_override_leaves_callers_scenario_alone(tmp_path):
     assert json.loads(result.manifest_file.read_text())["seed"] == 77
 
 
-def test_cli_run_beyond_narrowband_exits_1_without_traceback(tmp_path, capsys):
+def test_cli_beyond_narrowband_exits_2_without_traceback(tmp_path, capsys):
     doc = mini_scenario()
     doc["nodes"][3]["velocity_mps"] = [4e5, 0.0]
     path = write_scenario(tmp_path, doc)
-    assert cli_main(["validate", str(path)]) == 0
-    capsys.readouterr()
-    assert cli_main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
-    err = capsys.readouterr().err
-    assert any(
-        line.startswith("error: ") and "narrowband" in line for line in err.splitlines()
-    )
-    assert "Traceback" not in err
+    for argv in (["validate", str(path)], ["run", str(path), "--out", str(tmp_path / "out")]):
+        assert cli_main(argv) == 2
+        err = capsys.readouterr().err
+        assert any(
+            line.startswith("error: at $.nodes[3]") and "narrowband" in line
+            for line in err.splitlines()
+        )
+        assert "Traceback" not in err
 
 
 @pytest.mark.parametrize(
@@ -371,6 +382,33 @@ def test_cli_run_beyond_narrowband_exits_1_without_traceback(tmp_path, capsys):
           "doppler_window_symbols": 6, "notch_half_width_bins": 0,
           "cfar": {"train_cells": 1, "guard_cells": 0, "pfa": 1e-2}},
          "$.numerology.symbols_per_frame"),
+        # misspelled or extra keys are rejected at every level
+        ({"cfar": {"train_cell": 30}}, "$.cfar.train_cell"),
+        ({"numerology": mini_numerology(bandwidth_hz=9e5)}, "$.numerology.bandwidth_hz"),
+        ({"nodes": mini_nodes(0, height_m=2.0)}, "$.nodes[0].height_m"),
+        ({"pairs": [{"tx": "tx", "rx": "rx1", "gain": 1}, {"tx": "tx", "rx": "rx2"}]},
+         "$.pairs[0].gain"),
+        ({"allocation": {"type": "full", "user": "u0", "density": 0.5}}, "$.allocation.density"),
+        ({"allocation": {"type": "random", "user": "u0", "density": 0.5, "sed": 3}},
+         "$.allocation.sed"),
+        # numbers must be finite
+        ({"numerology": mini_numerology(subcarrier_spacing_hz=float("nan"))},
+         "$.numerology.subcarrier_spacing_hz"),
+        ({"nodes": mini_nodes(1, position_m=[float("nan"), 0.0])}, "$.nodes[1].position_m"),
+        ({"snr_db": float("inf")}, "$.snr_db"),
+        ({"reference_power_range_m": float("inf")}, "$.reference_power_range_m"),
+        # out-of-range finite numbers that overflow the run or its float32 map
+        ({"snr_db": -4000}, "$.snr_db"),
+        ({"snr_db": -400}, "$.snr_db"),
+        ({"reference_power_range_m": 1e200}, "$.reference_power_range_m"),
+        # a target 1e-100 m from the illuminator outshines what float32 holds
+        ({"nodes": mini_nodes(3, position_m=[0.0, 1e-100])}, "$.pairs[0]"),
+        # geometry that breaks the channel model
+        ({"nodes": mini_nodes(3, position_m=[4000.0, 3000.0])}, "$.nodes[3]"),
+        ({"nodes": mini_nodes(3, velocity_mps=[4e5, 0.0])}, "$.nodes[3]"),
+        ({"nodes": mini_nodes(4, position_m=[60.0, 0.0])}, "$.nodes[4]"),
+        ({"nodes": mini_nodes(1, position_m=[0.0, 0.0])}, "$.pairs[0]"),
+        ({"name": ["x"]}, "$.name"),
     ],
 )
 def test_cli_validate_rejects_what_run_would_reject(tmp_path, capsys, overrides, expected):
@@ -415,6 +453,44 @@ def test_validate_accepts_edge_tiles_that_touch_without_overlap(tmp_path):
     path = write_scenario(tmp_path, doc)
     assert cli_main(["validate", str(path)]) == 0
     assert cli_main(["run", str(path), "--out", str(tmp_path / "out")]) == 0
+
+
+def test_scenario_allocation_does_not_alias_the_document():
+    doc = mini_scenario(allocation={"type": "tiles", "tiles": [["u0", 0, 0, 20], ["u1", 1, 0, 20]]})
+    scenario = scenario_from_dict(doc)
+    doc["allocation"]["tiles"][0][1] = 3
+    doc["allocation"]["tiles"].append(["u2", 2, 0, 20])
+    doc["allocation"]["type"] = "full"
+    assert scenario.allocation == {"type": "tiles", "tiles": [["u0", 0, 0, 20], ["u1", 1, 0, 20]]}
+
+
+def test_echo_holds_the_effective_allocation():
+    scenario = scenario_from_dict(mini_scenario(allocation={"type": "random", "density": 0.5}))
+    assert scenario.to_dict()["allocation"] == {"type": "random", "user": "u0",
+                                                "density": 0.5, "seed": 0}
+    doc = mini_scenario()
+    del doc["allocation"]
+    assert scenario_from_dict(doc).to_dict()["allocation"] == {"type": "full", "user": "u0"}
+
+
+@pytest.mark.parametrize(
+    "overrides, reflectivity",
+    [
+        # the loudest scene the bounds admit: most noise, LoS and path gain
+        ({"snr_db": -100.0, "los_excess_db": 100.0, "reference_power_range_m": 1e4}, 10.0),
+        # the faintest: no noise to speak of, and paths that underflow to zero
+        ({"snr_db": 1e300, "los_excess_db": -100.0, "reference_power_range_m": 5e-324}, 0.0),
+    ],
+)
+def test_most_extreme_accepted_values_write_finite_maps(tmp_path, overrides, reflectivity):
+    doc = mini_scenario(**overrides)
+    for node in doc["nodes"][3:]:
+        node["reflectivity"] = reflectivity
+    path = write_scenario(tmp_path, doc)
+    assert cli_main(["validate", str(path)]) == 0
+    assert cli_main(["run", str(path), "--out", str(tmp_path / "out")]) == 0
+    for name in ("map_tx_rx1.bin", "map_tx_rx2.bin"):
+        assert np.all(np.isfinite(read_map(tmp_path / "out" / name).power))
 
 
 def test_cli_run_negative_seed_override_is_a_configuration_error(tmp_path, capsys):
