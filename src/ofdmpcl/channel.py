@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DelayExceedsCp, DopplerExceedsNarrowband
+from .errors import DelayExceedsCp, DopplerExceedsNarrowband, EmptyReference
 from .geometry import Path
 from .grid import Numerology, ResourceGrid
 
@@ -87,7 +87,8 @@ def apply_channel(
     mean power of the noiseless received signal over allocated elements;
     ``None`` disables noise. Noise is seeded and added to every element:
     one M x D standard-normal draw for the real parts, then one for the
-    imaginary parts, each in row-major order.
+    imaginary parts, each in row-major order. Noise on a grid without an
+    allocated element raises EmptyReference.
     """
     received = channel_response(
         grid.numerology,
@@ -101,7 +102,7 @@ def apply_channel(
     if noise_snr_db is not None:
         allocated = grid.allocated_mask
         if not np.any(allocated):
-            raise ValueError("cannot calibrate noise on an empty grid")
+            raise EmptyReference("cannot calibrate noise on a grid with no allocated element")
         # |received|^2 goes into the buffer the noise is later drawn into.
         noise = np.abs(received)
         noise *= noise

@@ -83,10 +83,6 @@ class ScatteringMap:
     def zero_doppler_bin(self) -> int:
         return self.power.shape[1] // 2
 
-    def doppler_axis_hz(self) -> np.ndarray:
-        d = self.power.shape[1]
-        return (np.arange(d) - d // 2) * self.doppler_bin_hz
-
 
 def estimate_channel(
     rx: SymbolFrame, ref: ResourceGrid, user_id: str | None = None

@@ -59,7 +59,11 @@ class DegenerateEllipse(OfdmPclError):
 
 
 class NoConvergence(OfdmPclError):
-    """Position solver failed to reduce the residual within its budget."""
+    """Position solver failed to reduce the residual within its budget.
+
+    ``fuse_position`` never raises it: its descent only takes steps that do
+    not raise the cost. The class stays for callers that catch it.
+    """
 
 
 class AmbiguousFix(OfdmPclError):

@@ -202,9 +202,6 @@ def random_allocation(
     if not 0.0 < density <= 1.0:
         raise ValueError("density must lie in (0, 1]")
     rng = np.random.default_rng(seed)
-    tiles = []
-    for row in range(numerology.prb_rows):
-        for col in range(numerology.prb_cols):
-            if rng.random() < density:
-                tiles.append((row, col, col + 1))
-    return {user_id: tiles}
+    # One draw per tile in row-major order, as argwhere lists them.
+    drawn = rng.random((numerology.prb_rows, numerology.prb_cols)) < density
+    return {user_id: [(row, col, col + 1) for row, col in np.argwhere(drawn).tolist()]}

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .detect import Detection
-from .errors import AmbiguousFix, DegenerateEllipse, NegativeExcess, NoConvergence
+from .errors import AmbiguousFix, DegenerateEllipse, NegativeExcess
 from .geometry import SPEED_OF_LIGHT, BistaticPair
 from .grid import Numerology
 
@@ -97,42 +97,32 @@ def ellipse_points(meas: BistaticMeasurement, n: int) -> np.ndarray:
     )
 
 
-def _focal_sums(points: np.ndarray, measurements) -> np.ndarray:
-    """Focal sums of shape (npoints, nmeas)."""
-    pts = np.atleast_2d(points)
-    sums = np.empty((pts.shape[0], len(measurements)))
-    for k, m in enumerate(measurements):
-        r_tx = np.linalg.norm(pts - m.pair.tx_position[None, :], axis=1)
-        r_rx = np.linalg.norm(pts - m.pair.rx_position[None, :], axis=1)
-        sums[:, k] = r_tx + r_rx
-    return sums
+def _focal_sums(points: np.ndarray, tx: np.ndarray, rx: np.ndarray) -> np.ndarray:
+    """Focal sums of shape (npoints, nmeas) for foci ``tx``, ``rx`` of shape (nmeas, 2)."""
+    pts = np.atleast_2d(points)[:, None, :]
+    return np.linalg.norm(pts - tx, axis=2) + np.linalg.norm(pts - rx, axis=2)
 
 
-def _residuals(point: np.ndarray, measurements) -> np.ndarray:
-    ranges = np.array([m.total_range_m for m in measurements])
-    return _focal_sums(point[None, :], measurements)[0] - ranges
+def _jacobian(point: np.ndarray, tx: np.ndarray, rx: np.ndarray) -> np.ndarray:
+    """Gradient of each focal sum at ``point``, shape (nmeas, 2).
+
+    Each distance is sqrt(vecdot), the dot a 1-D ``np.linalg.norm`` takes;
+    ``norm(axis=1)`` sums the squares instead and can differ in the last bit.
+    """
+    d_tx, d_rx = point - tx, point - rx
+    return (d_tx / np.sqrt(np.vecdot(d_tx, d_tx))[:, None]
+            + d_rx / np.sqrt(np.vecdot(d_rx, d_rx))[:, None])
 
 
-def _jacobian(point: np.ndarray, measurements) -> np.ndarray:
-    rows = []
-    for m in measurements:
-        d_tx = point - m.pair.tx_position
-        d_rx = point - m.pair.rx_position
-        rows.append(d_tx / np.linalg.norm(d_tx) + d_rx / np.linalg.norm(d_rx))
-    return np.array(rows)
-
-
-def _grid_candidates(measurements):
+def _grid_candidates(tx, rx, ranges, weights):
     """Deterministic coarse-grid minima of the weighted cost.
 
     The search box is the intersection of the per-ellipse bounding boxes
     (the target lies on every ellipse); if inconsistent measurements make
     that box empty, the union box is used instead.
     """
-    centers = np.array(
-        [0.5 * (m.pair.tx_position + m.pair.rx_position) for m in measurements]
-    )
-    half = np.array([0.5 * m.total_range_m for m in measurements])
+    centers = 0.5 * (tx + rx)
+    half = 0.5 * ranges
     lo = np.max(centers - half[:, None], axis=0)
     hi = np.min(centers + half[:, None], axis=0)
     if np.any(hi <= lo):
@@ -148,9 +138,7 @@ def _grid_candidates(measurements):
     gx, gy = np.meshgrid(xs, ys, indexing="ij")
     points = np.column_stack([gx.ravel(), gy.ravel()])
 
-    weights = np.array([1.0 / m.variance_m2 for m in measurements])
-    ranges = np.array([m.total_range_m for m in measurements])
-    res = _focal_sums(points, measurements) - ranges[None, :]
+    res = _focal_sums(points, tx, rx) - ranges[None, :]
     cost = (res**2 * weights[None, :]).sum(axis=1).reshape(nx, ny)
 
     # Interior local minima of the grid cost (4-neighborhood), plus the
@@ -168,16 +156,20 @@ def _grid_candidates(measurements):
     return candidates, diag
 
 
-def _gauss_newton(start, measurements, weights, max_iterations):
-    """Damped Gauss-Newton descent on the weighted focal-sum cost."""
+def _gauss_newton(start, tx, rx, ranges, weights, max_iterations):
+    """Damped Gauss-Newton descent on the weighted focal-sum cost.
+
+    A step is taken only when it does not raise the cost, so the result never
+    costs more than ``start``.
+    """
     point = np.asarray(start, dtype=float).copy()
-    res = _residuals(point, measurements)
+    res = _focal_sums(point, tx, rx)[0] - ranges
     cost = float(res @ (weights * res))
     damping = 1e-6
     scale = 1.0 + float(np.linalg.norm(point))
 
     for _ in range(max_iterations):
-        jac = _jacobian(point, measurements)
+        jac = _jacobian(point, tx, rx)
         grad = jac.T @ (weights * res)
         hess = jac.T @ (weights[:, None] * jac)
         stepped = False
@@ -190,7 +182,7 @@ def _gauss_newton(start, measurements, weights, max_iterations):
                 damping *= 10.0
                 continue
             trial = point - step
-            trial_res = _residuals(trial, measurements)
+            trial_res = _focal_sums(trial, tx, rx)[0] - ranges
             trial_cost = float(trial_res @ (weights * trial_res))
             if trial_cost <= cost:
                 point, res, cost = trial, trial_res, trial_cost
@@ -212,37 +204,33 @@ def fuse_position(
     come from ``init`` when given, otherwise from a coarse grid search over
     the measurement bounding box; the candidate with the lowest residual
     wins. Raises AmbiguousFix when a second distinct basin fits within 10%
-    of the best residual (both candidates attached, lowest first), and
-    NoConvergence when the solver cannot reduce the initializer's residual.
+    of the best residual (both candidates attached, lowest first).
     """
     measurements = list(measurements)
     if len(measurements) < 2:
         raise ValueError("a point fix needs at least two measurements")
-    weights = np.array([1.0 / m.variance_m2 for m in measurements])
+    tx = np.array([m.pair.tx_position for m in measurements], dtype=float)
+    rx = np.array([m.pair.rx_position for m in measurements], dtype=float)
+    ranges = np.array([m.total_range_m for m in measurements], dtype=float)
+    weights = 1.0 / np.array([m.variance_m2 for m in measurements], dtype=float)
 
     if init is not None:
         starts = [np.asarray(init, dtype=float)]
         diag = 1.0 + float(np.linalg.norm(starts[0]))
     else:
-        candidates, diag = _grid_candidates(measurements)
+        candidates, diag = _grid_candidates(tx, rx, ranges, weights)
         starts = candidates[:4]
 
     solutions = []
     for start in starts:
-        start_res = _residuals(np.asarray(start, float), measurements)
-        start_cost = float(start_res @ (weights * start_res))
-        point, res, cost = _gauss_newton(start, measurements, weights, max_iterations)
-        if cost > start_cost:
-            raise NoConvergence(
-                f"residual grew from {start_cost:.3e} during refinement"
-            )
+        point, res, cost = _gauss_newton(start, tx, rx, ranges, weights, max_iterations)
         # Deduplicate basins.
         if any(np.linalg.norm(point - s[0]) < 1e-3 * diag for s in solutions):
             continue
         solutions.append((point, res, cost))
 
     solutions.sort(key=lambda s: s[2])
-    estimates = [_finalize(point, res, measurements, weights) for point, res, _ in solutions]
+    estimates = [_finalize(point, res, tx, rx, weights) for point, res, _ in solutions]
 
     if len(estimates) >= 2:
         first, second = estimates[0], estimates[1]
@@ -255,8 +243,8 @@ def fuse_position(
     return estimates[0]
 
 
-def _finalize(point, res, measurements, weights) -> PositionEstimate:
-    jac = _jacobian(point, measurements)
+def _finalize(point, res, tx, rx, weights) -> PositionEstimate:
+    jac = _jacobian(point, tx, rx)
     hess = jac.T @ (weights[:, None] * jac)
     try:
         covariance = np.linalg.inv(hess)
@@ -265,6 +253,6 @@ def _finalize(point, res, measurements, weights) -> PositionEstimate:
     return PositionEstimate(
         position=point,
         residual_rms_m=float(np.sqrt(np.mean(res**2))),
-        pairs_used=len(measurements),
+        pairs_used=len(tx),
         covariance=covariance,
     )

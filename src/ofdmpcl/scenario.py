@@ -26,6 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from . import grid as _grid
 from .channel import apply_channel, check_path
 from .detect import CfarConfig, cfar_detect, suppress_clutter
 from .dsp import (
@@ -36,13 +37,7 @@ from .dsp import (
     max_integration_time,
     scattering_map,
 )
-from .errors import (
-    AmbiguousFix,
-    NoConvergence,
-    OfdmPclError,
-    OutOfBounds,
-    ScenarioError,
-)
+from .errors import AmbiguousFix, OfdmPclError, OutOfBounds, ScenarioError
 from .geometry import NODE_KINDS, RADIO_KINDS, SPEED_OF_LIGHT, Node, Scene, enumerate_paths
 from .geometry import bistatic_path, los_magnitude, los_path
 from .grid import (
@@ -345,6 +340,13 @@ def scenario_from_dict(data: dict, name: str = "scenario") -> Scenario:
         users = _tile_users(allocation["tiles"], numerology, errors)
     elif allocation and allocation.get("user") is not None:
         users.add(allocation["user"])
+    density, seed = (allocation or {}).get("density"), (allocation or {}).get("seed")
+    if numerology and None not in (density, seed):
+        # The tiles run will draw. Called through the grid module, so that a
+        # tracer rebinding this module's random_allocation sees builds only.
+        if not _grid.random_allocation(numerology, "", density, seed)[""]:
+            errors.append(f"at $.allocation.density: density {density:g} with seed {seed} "
+                          "draws no PRB tile")
     if top["process_user"] is not None and users and top["process_user"] not in users:
         errors.append(f"at $.process_user: user {top['process_user']!r} owns no allocation")
 
@@ -425,7 +427,6 @@ def _noise_seed(scn: Scenario, pair: PairSpec) -> tuple:
 @dataclass
 class PairResult:
     pair: PairSpec
-    paths: list
     detections: list
     map_file: Path
     detections_file: Path
@@ -467,8 +468,8 @@ def _run_pair(scenario: Scenario, scene: Scene, grid: ResourceGrid, pair_spec: P
                              scenario.cfar)
     det_file = out / f"detections_{pair_spec.tx}_{pair_spec.rx}.csv"
     write_detections_csv(det_file, pair_spec.pair_id, detections)
-    return PairResult(pair=pair_spec, paths=paths, detections=detections,
-                      map_file=map_file, detections_file=det_file)
+    return PairResult(pair=pair_spec, detections=detections, map_file=map_file,
+                      detections_file=det_file)
 
 
 def run_scenario(scenario, out_dir=None, seed=None, log=None) -> RunResult:
@@ -584,9 +585,6 @@ def _localize(scenario: Scenario, scene: Scene, pair_results, log):
         candidates = [estimate]
     except AmbiguousFix as exc:
         candidates = exc.estimates
-    except NoConvergence as exc:
-        log(f"warning: position solver did not converge: {exc}")
-        return []
 
     return [
         (

@@ -1,8 +1,8 @@
 """Independent reference implementations used to check the library.
 
 Everything here is deliberately slow and literal: direct O(N^2) transform
-sums, continuous-time waveform evaluation, numerical differentiation and a
-cell-by-cell CFAR.
+sums, continuous-time waveform evaluation, numerical differentiation, a
+cell-by-cell CFAR and per-measurement focal sums.
 None of it shares code with the package's processing path.
 """
 
@@ -184,3 +184,30 @@ def ca_cfar_literal(power, train_cells, guard_cells, pfa, delay_bin_s, doppler_b
             ))
     found.sort(key=lambda row: (-row[4], row[0], row[1]))
     return found
+
+
+def focal_sums_loop(points, measurements):
+    """Focal sums of shape (npoints, nmeas), one measurement at a time.
+
+    Each distance is ``np.linalg.norm(..., axis=1)`` over the points.
+    """
+    pts = np.atleast_2d(points)
+    sums = np.empty((pts.shape[0], len(measurements)))
+    for k, m in enumerate(measurements):
+        r_tx = np.linalg.norm(pts - m.pair.tx_position[None, :], axis=1)
+        r_rx = np.linalg.norm(pts - m.pair.rx_position[None, :], axis=1)
+        sums[:, k] = r_tx + r_rx
+    return sums
+
+
+def jacobian_loop(point, measurements):
+    """Gradient of each focal sum at one point, one row per measurement.
+
+    Each distance is the 1-D ``np.linalg.norm`` of one offset vector.
+    """
+    rows = []
+    for m in measurements:
+        d_tx = point - m.pair.tx_position
+        d_rx = point - m.pair.rx_position
+        rows.append(d_tx / np.linalg.norm(d_tx) + d_rx / np.linalg.norm(d_rx))
+    return np.array(rows)

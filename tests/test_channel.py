@@ -4,6 +4,7 @@ import pytest
 from ofdmpcl import (
     DelayExceedsCp,
     DopplerExceedsNarrowband,
+    EmptyReference,
     Numerology,
     Path,
     apply_channel,
@@ -186,6 +187,13 @@ def test_channel_response_without_paths_is_complex_zeros():
     assert response.shape == (NUM.num_carriers, NUM.symbols_per_frame)
     assert response.dtype == np.complex128
     assert not np.any(response)
+
+
+def test_noise_on_a_grid_without_allocation_is_an_empty_reference():
+    grid = build_grid(NUM, {"u0": []}, rng_seed=0)
+    assert not np.any(grid.symbols)
+    with pytest.raises(EmptyReference):
+        apply_channel(grid, [path()], noise_snr_db=10.0, rng_seed=0)
 
 
 def test_noisy_frame_matches_the_masked_mean_calibration():

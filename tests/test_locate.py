@@ -14,6 +14,8 @@ from ofdmpcl import (
     fuse_position,
     measurement_from_detection,
 )
+from ofdmpcl.locate import _focal_sums, _jacobian
+from oracles import focal_sums_loop, jacobian_loop
 
 NUM = Numerology(num_carriers=80, symbols_per_frame=28)  # bin width 1/1.2 MHz
 
@@ -40,6 +42,16 @@ def exact_measurement(pair, target, sigma_m=1.0):
     )
     return BistaticMeasurement(
         pair=pair, total_range_m=total, doppler_hz=0.0, variance_m2=sigma_m**2
+    )
+
+
+def measurement_arrays(measurements):
+    """The (tx, rx, ranges, weights) arrays that fuse_position builds."""
+    return (
+        np.array([m.pair.tx_position for m in measurements]),
+        np.array([m.pair.rx_position for m in measurements]),
+        np.array([m.total_range_m for m in measurements]),
+        np.array([1.0 / m.variance_m2 for m in measurements]),
     )
 
 
@@ -224,7 +236,7 @@ def test_rigid_transform_equivariance():
 
 
 def test_estimate_residual_not_worse_than_grid_initializer():
-    from ofdmpcl.locate import _grid_candidates, _residuals
+    from ofdmpcl.locate import _grid_candidates
 
     rng = np.random.default_rng(8)
     target = np.array([70.0, 90.0])
@@ -239,6 +251,31 @@ def test_estimate_residual_not_worse_than_grid_initializer():
         m.total_range_m += rng.normal(0.0, 2.0)
         measurements.append(m)
     estimate = fuse_position(measurements)
-    candidates, _ = _grid_candidates(measurements)
-    grid_rms = np.sqrt(np.mean(_residuals(candidates[0], measurements) ** 2))
+    tx, rx, ranges, weights = measurement_arrays(measurements)
+    candidates, _ = _grid_candidates(tx, rx, ranges, weights)
+    grid_rms = np.sqrt(np.mean((_focal_sums(candidates[0], tx, rx)[0] - ranges) ** 2))
     assert estimate.residual_rms_m <= grid_rms + 1e-12
+
+
+@pytest.mark.parametrize("num_pairs", [2, 3, 4, 8])
+def test_focal_sums_and_jacobian_match_per_measurement_loops_bit_for_bit(num_pairs):
+    rng = np.random.default_rng(40 + num_pairs)
+    measurements = []
+    while len(measurements) < num_pairs:
+        tx, rx = rng.uniform(-300.0, 300.0, (2, 2))
+        if np.linalg.norm(tx - rx) > 1.0:
+            pair = pair_at(tx, rx, f"tx{len(measurements)}", f"rx{len(measurements)}")
+            measurements.append(exact_measurement(pair, rng.uniform(-300.0, 300.0, 2)))
+    tx, rx, _, _ = measurement_arrays(measurements)
+
+    gx, gy = np.meshgrid(np.linspace(-400.0, 400.0, 41), np.linspace(-350.0, 450.0, 37))
+    grid_points = np.column_stack([gx.ravel(), gy.ravel()])
+    assert np.array_equal(_focal_sums(grid_points, tx, rx),
+                          focal_sums_loop(grid_points, measurements))
+
+    # Off-grid points, and points a few ulps to a metre from each focus.
+    offsets = np.array([1e-9, 1e-6, 1e-3, 1.0])[:, None] * rng.standard_normal((4, 2))
+    near = (np.concatenate([tx, rx])[:, None, :] + offsets).reshape(-1, 2)
+    for point in np.concatenate([rng.uniform(-400.0, 400.0, (200, 2)), near]):
+        assert np.array_equal(_focal_sums(point, tx, rx), focal_sums_loop(point, measurements))
+        assert np.array_equal(_jacobian(point, tx, rx), jacobian_loop(point, measurements))

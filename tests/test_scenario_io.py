@@ -409,6 +409,8 @@ def test_cli_beyond_narrowband_exits_2_without_traceback(tmp_path, capsys):
         ({"nodes": mini_nodes(4, position_m=[60.0, 0.0])}, "$.nodes[4]"),
         ({"nodes": mini_nodes(1, position_m=[0.0, 0.0])}, "$.pairs[0]"),
         ({"name": ["x"]}, "$.name"),
+        # a valid density whose draw holds no tile leaves nothing to estimate from
+        ({"allocation": {"type": "random", "density": 1e-6, "seed": 1}}, "$.allocation.density"),
     ],
 )
 def test_cli_validate_rejects_what_run_would_reject(tmp_path, capsys, overrides, expected):
