@@ -79,10 +79,7 @@ def main(argv=None) -> int:
         for message in exc.messages:
             print(f"error: {message}", file=sys.stderr)
         return 2
-    except OfdmPclError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (OfdmPclError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -23,15 +23,17 @@ from .errors import DimensionMismatch, EmptyReference
 from .geometry import SPEED_OF_LIGHT
 from .grid import Numerology, ResourceGrid, user_subgrid
 
-# Rows per block of the slow-time transform: small enough that the block
+# Most rows per block of the slow-time transform: small enough that the block
 # buffer stays in cache, large enough to amortize the per-call overhead.
 _DOPPLER_BLOCK_ROWS = 64
 
-WINDOWS = {"rect": np.ones, "hann": np.hanning}
+# "rect" is float32 ones: 1.0 is exact in every float type, and float32 never
+# widens a complex64 input, so tapering by it changes no value and no dtype.
+WINDOWS = {"rect": lambda n: np.ones(n, dtype=np.float32), "hann": np.hanning}
 
 
 def window_vector(name: str, n: int) -> np.ndarray:
-    """Taper coefficients by name; "rect" is all ones, so the transforms skip it."""
+    """Taper coefficients by name; "rect" is all ones."""
     if name not in WINDOWS:
         raise ValueError(f"unknown window {name!r} (use one of {', '.join(WINDOWS)})")
     return WINDOWS[name](n)
@@ -119,11 +121,8 @@ def delay_transform(est: ChannelEstimate, window: str = "rect") -> ImpulseRespon
     baseline estimator for partially allocated grids.
     """
     m = est.h.shape[0]
-    if window == "rect":
-        h = np.fft.ifft(est.h, axis=0)
-    else:
-        h = window_vector(window, m)[:, None] * est.h
-        np.fft.ifft(h, axis=0, out=h)
+    h = window_vector(window, m)[:, None] * est.h
+    np.fft.ifft(h, axis=0, out=h)
     h *= np.sqrt(m)
     return ImpulseResponse(h=h, numerology=est.numerology)
 
@@ -139,21 +138,23 @@ def doppler_transform(
     shifted columns, so neither a tapered copy nor the unshifted spectrum
     exists at full size.
     """
-    h = cir.h if num_symbols is None else cir.h[:, :num_symbols]
+    h = cir.h[:, :num_symbols]
     m, d = h.shape
     if d < 2:
         raise ValueError("Doppler transform needs at least 2 symbols")
-    taper = None if window == "rect" else window_vector(window, d)
-    dtype = h.dtype if taper is None else np.result_type(taper, h)
+    taper = window_vector(window, d)
+    dtype = np.result_type(taper, h)
     s = np.empty((m, d), dtype=dtype)
-    block = np.empty((min(m, _DOPPLER_BLOCK_ROWS), d), dtype=dtype)
+    # At most 1/16 of the map's rows, so the buffer stays small on short maps.
+    block_rows = min(_DOPPLER_BLOCK_ROWS, max(1, m // 16))
+    block = np.empty((block_rows, d), dtype=dtype)
     scale = np.sqrt(d)
     neg = d // 2  # fftshift moves spectrum column k to (k + neg) % d
-    for r0 in range(0, m, _DOPPLER_BLOCK_ROWS):
-        rows = slice(r0, min(r0 + _DOPPLER_BLOCK_ROWS, m))
+    for r0 in range(0, m, block_rows):
+        rows = slice(r0, min(r0 + block_rows, m))
         buf = block[: rows.stop - r0]
-        rows_in = h[rows] if taper is None else np.multiply(taper, h[rows], out=buf)
-        np.fft.fft(rows_in, axis=1, out=buf)
+        np.multiply(taper, h[rows], out=buf)
+        np.fft.fft(buf, axis=1, out=buf)
         np.divide(buf[:, : d - neg], scale, out=s[rows, neg:])
         np.divide(buf[:, d - neg :], scale, out=s[rows, :neg])
     return SpreadingFunction(

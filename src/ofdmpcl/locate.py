@@ -20,6 +20,7 @@ from .geometry import SPEED_OF_LIGHT, BistaticPair
 from .grid import Numerology
 
 GRID_DIVISIONS = 50  # grid-search resolution: 1/50 of the bounding-box diagonal
+MAX_ITERATIONS = 100  # Gauss-Newton steps per start
 
 
 @dataclass
@@ -32,9 +33,10 @@ class BistaticMeasurement:
     variance_m2: float
 
     def __post_init__(self):
-        if self.total_range_m < self.pair.baseline_m:
-            raise ValueError("total range cannot undercut the baseline")
-        if self.variance_m2 <= 0:
+        # Written so that NaN fails both tests.
+        if not self.pair.baseline_m <= self.total_range_m < np.inf:
+            raise ValueError("total range must be finite and cannot undercut the baseline")
+        if not self.variance_m2 > 0:
             raise ValueError("variance must be positive")
 
 
@@ -141,8 +143,8 @@ def _grid_candidates(tx, rx, ranges, weights):
     res = _focal_sums(points, tx, rx) - ranges[None, :]
     cost = (res**2 * weights[None, :]).sum(axis=1).reshape(nx, ny)
 
-    # Interior local minima of the grid cost (4-neighborhood), plus the
-    # global grid minimum as a fallback.
+    # Local minima of the grid cost (4-neighborhood), lowest first; the
+    # global grid minimum is always among them.
     minima = np.ones_like(cost, dtype=bool)
     minima[:-1, :] &= cost[:-1, :] <= cost[1:, :]
     minima[1:, :] &= cost[1:, :] <= cost[:-1, :]
@@ -151,12 +153,10 @@ def _grid_candidates(tx, rx, ranges, weights):
     idx = np.argwhere(minima)
     order = np.argsort(cost[minima], kind="stable")
     candidates = [points[i * ny + j] for i, j in idx[order]]
-    best_flat = np.unravel_index(np.argmin(cost), cost.shape)
-    candidates.append(points[best_flat[0] * ny + best_flat[1]])
     return candidates, diag
 
 
-def _gauss_newton(start, tx, rx, ranges, weights, max_iterations):
+def _gauss_newton(start, tx, rx, ranges, weights):
     """Damped Gauss-Newton descent on the weighted focal-sum cost.
 
     A step is taken only when it does not raise the cost, so the result never
@@ -168,7 +168,7 @@ def _gauss_newton(start, tx, rx, ranges, weights, max_iterations):
     damping = 1e-6
     scale = 1.0 + float(np.linalg.norm(point))
 
-    for _ in range(max_iterations):
+    for _ in range(MAX_ITERATIONS):
         jac = _jacobian(point, tx, rx)
         grad = jac.T @ (weights * res)
         hess = jac.T @ (weights[:, None] * jac)
@@ -195,9 +195,7 @@ def _gauss_newton(start, tx, rx, ranges, weights, max_iterations):
     return point, res, cost
 
 
-def fuse_position(
-    measurements, init=None, max_iterations: int = 100
-) -> PositionEstimate:
+def fuse_position(measurements, init=None) -> PositionEstimate:
     """Fuse two or more total-range measurements into a 2D fix.
 
     Minimizes sum_i (focal_sum_i - range_i)^2 / variance_i. Starting points
@@ -223,7 +221,7 @@ def fuse_position(
 
     solutions = []
     for start in starts:
-        point, res, cost = _gauss_newton(start, tx, rx, ranges, weights, max_iterations)
+        point, res, cost = _gauss_newton(start, tx, rx, ranges, weights)
         # Deduplicate basins.
         if any(np.linalg.norm(point - s[0]) < 1e-3 * diag for s in solutions):
             continue

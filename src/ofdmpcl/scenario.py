@@ -37,7 +37,7 @@ from .dsp import (
     max_integration_time,
     scattering_map,
 )
-from .errors import AmbiguousFix, OfdmPclError, OutOfBounds, ScenarioError
+from .errors import AmbiguousFix, NegativeExcess, OfdmPclError, OutOfBounds, ScenarioError
 from .geometry import NODE_KINDS, RADIO_KINDS, SPEED_OF_LIGHT, Node, Scene, enumerate_paths
 from .geometry import bistatic_path, los_magnitude, los_path
 from .grid import (
@@ -562,18 +562,18 @@ def _localize(scenario: Scenario, scene: Scene, pair_results, log):
             continue
         best = pr.detections[0]
         pair = scene.pair(pr.pair.tx, pr.pair.rx)
+        # Re-reference the detection delay to the LoS peak before fusion.
         excess_s = best.refined_delay_s - pair.baseline_m / SPEED_OF_LIGHT
-        if excess_s < 0:
+        det = dataclasses.replace(best, refined_delay_s=excess_s)
+        try:
+            measurements.append(
+                measurement_from_detection(det, pair, scenario.numerology)
+            )
+        except NegativeExcess:
             log(
                 f"warning: pair {pr.pair.pair_id} strongest detection precedes "
                 "the line of sight; skipped in fusion"
             )
-            continue
-        # Re-reference the detection delay to the LoS peak before fusion.
-        det = dataclasses.replace(best, refined_delay_s=excess_s)
-        measurements.append(
-            measurement_from_detection(det, pair, scenario.numerology)
-        )
 
     if len(measurements) < 2:
         if measurements:

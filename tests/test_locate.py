@@ -14,7 +14,7 @@ from ofdmpcl import (
     fuse_position,
     measurement_from_detection,
 )
-from ofdmpcl.locate import _focal_sums, _jacobian
+from ofdmpcl.locate import _focal_sums, _grid_candidates, _jacobian
 from oracles import focal_sums_loop, jacobian_loop
 
 NUM = Numerology(num_carriers=80, symbols_per_frame=28)  # bin width 1/1.2 MHz
@@ -82,6 +82,15 @@ def test_variance_follows_uniform_bin_model():
     assert meas.variance_m2 == pytest.approx(sigma**2, rel=1e-12)
     # for an exactly 12.5 ns bin the sigma is 1.082 m
     assert SPEED_OF_LIGHT * 12.5e-9 / np.sqrt(12) == pytest.approx(1.082, abs=1e-3)
+
+
+@pytest.mark.parametrize(
+    "total_range_m, variance_m2",
+    [(np.nan, 1.0), (np.inf, 1.0), (150.0, np.nan)],
+)
+def test_measurement_rejects_nan_or_infinite_fields(total_range_m, variance_m2):
+    with pytest.raises(ValueError):
+        BistaticMeasurement(pair_at((0, 0), (100, 0)), total_range_m, 0.0, variance_m2)
 
 
 def test_ellipse_points_satisfy_focal_sum():
@@ -279,3 +288,23 @@ def test_focal_sums_and_jacobian_match_per_measurement_loops_bit_for_bit(num_pai
     for point in np.concatenate([rng.uniform(-400.0, 400.0, (200, 2)), near]):
         assert np.array_equal(_focal_sums(point, tx, rx), focal_sums_loop(point, measurements))
         assert np.array_equal(_jacobian(point, tx, rx), jacobian_loop(point, measurements))
+
+
+@pytest.mark.parametrize("num_pairs", [2, 3, 4])
+def test_grid_candidates_are_distinct_and_sorted_by_cost(num_pairs):
+    rng = np.random.default_rng(70 + num_pairs)
+    for _ in range(20):
+        measurements = []
+        while len(measurements) < num_pairs:
+            tx, rx = rng.uniform(-300.0, 300.0, (2, 2))
+            if np.linalg.norm(tx - rx) > 1.0:
+                pair = pair_at(tx, rx, f"tx{len(measurements)}", f"rx{len(measurements)}")
+                m = exact_measurement(pair, rng.uniform(-300.0, 300.0, 2), sigma_m=2.0)
+                m.total_range_m += abs(rng.normal(0.0, 2.0))
+                measurements.append(m)
+        tx, rx, ranges, weights = measurement_arrays(measurements)
+        candidates, _ = _grid_candidates(tx, rx, ranges, weights)
+        points = np.array(candidates)
+        assert len(np.unique(points, axis=0)) == len(points) >= 1
+        cost = ((_focal_sums(points, tx, rx) - ranges) ** 2 * weights).sum(axis=1)
+        assert np.all(np.diff(cost) >= 0)
