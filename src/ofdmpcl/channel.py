@@ -97,7 +97,8 @@ def apply_channel(
         timing_offset_s=timing_offset_s,
         freq_offset_hz=freq_offset_hz,
     )
-    received *= grid.symbols
+    for rows, tx in grid.symbol_blocks():
+        received[rows] *= tx
 
     if noise_snr_db is not None:
         allocated = grid.allocated_mask

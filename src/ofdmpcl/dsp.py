@@ -94,23 +94,20 @@ def estimate_channel(
     Divides received by transmitted on every allocated element; for
     unit-modulus references this equals conjugate multiplication. With
     ``user_id`` the reference is first restricted to that user's elements
-    (uplink rule: each user's allocation is its own measurement); the
-    estimate is then computed in that restricted copy's own buffer.
+    (uplink rule: each user's allocation is its own measurement).
     """
     if user_id is not None:
         ref = user_subgrid(ref, user_id)
-    if rx.symbols.shape != ref.symbols.shape:
-        raise DimensionMismatch(
-            f"received {rx.symbols.shape} vs reference {ref.symbols.shape}"
-        )
+    if rx.symbols.shape != ref.codes.shape:
+        raise DimensionMismatch(f"received {rx.symbols.shape} vs reference {ref.codes.shape}")
     if rx.numerology != ref.numerology:
         raise DimensionMismatch("received frame and reference numerology differ")
-    mask = ref.symbols != 0
+    mask = ref.codes >= 0
     if not np.any(mask):
         raise EmptyReference("reference grid owns no allocated elements")
-    # The subgrid's symbols are a fresh array, already zero off the mask.
-    h = np.zeros_like(rx.symbols) if user_id is None else ref.symbols
-    np.divide(rx.symbols, ref.symbols, out=h, where=mask)
+    h = np.zeros_like(rx.symbols)
+    for rows, tx in ref.symbol_blocks():
+        np.divide(rx.symbols[rows], tx, out=h[rows], where=mask[rows])
     return ChannelEstimate(h=h, valid_mask=mask, numerology=ref.numerology)
 
 

@@ -2,10 +2,10 @@
 
 A resource grid is an M x D matrix of frequency-domain symbols (M carriers,
 D OFDM symbols). Users own rectangular PRB tiles of 12 carriers x 7 symbols;
-everything a user owns is filled with seeded unit-power QPSK, everything else
-is exactly zero. Ownership is one integer array of the grid's shape: ``owner``
-holds each element's index into the ``users`` tuple of user ids, -1 where no
-user owns it.
+everything a user owns is seeded unit-power QPSK, held as an int8 code 0-3,
+and everything else is exactly zero, code -1. Ownership is one integer array
+of the same shape: ``owner`` holds each element's index into the ``users``
+tuple of user ids, -1 where no user owns it.
 """
 
 from __future__ import annotations
@@ -19,8 +19,9 @@ from .errors import OutOfBounds, OverlappingAllocation, UnknownUser
 PRB_CARRIERS = 12
 PRB_SYMBOLS = 7
 
-# Gray-coded QPSK constellation, unit modulus.
-_QPSK = np.array([1 + 1j, -1 + 1j, -1 - 1j, 1 - 1j], dtype=np.complex128) / np.sqrt(2.0)
+# Gray-coded QPSK constellation, unit modulus, then 0: the symbol of code -1.
+_QPSK = np.array([1 + 1j, -1 + 1j, -1 - 1j, 1 - 1j, 0], dtype=np.complex128) / np.sqrt(2.0)
+_BLOCK_ROWS = 64  # rows per symbol_blocks block: its complex lookup stays in cache
 
 
 @dataclass(frozen=True)
@@ -82,12 +83,22 @@ class Numerology:
 
 @dataclass
 class ResourceGrid:
-    """Transmit frame: QPSK symbols on allocated elements, zeros elsewhere."""
+    """Transmit frame as QPSK codes: 0-3 on allocated elements, -1 elsewhere."""
 
     numerology: Numerology
-    symbols: np.ndarray  # complex, (num_carriers, symbols_per_frame)
+    codes: np.ndarray  # int8, (num_carriers, symbols_per_frame)
     owner: np.ndarray  # signed int, same shape: index into users, -1 if unallocated
     users: tuple[str, ...]
+
+    @property
+    def symbols(self) -> np.ndarray:  # a new complex grid, zero where unallocated
+        return _QPSK[self.codes]
+
+    def symbol_blocks(self):
+        """Yield (rows, their symbols); code -1 is 255 as uint8 and clips to the last entry, 0."""
+        for r0 in range(0, self.codes.shape[0], _BLOCK_ROWS):
+            rows = slice(r0, r0 + _BLOCK_ROWS)
+            yield rows, np.take(_QPSK, self.codes[rows].view(np.uint8), mode="clip")
 
     @property
     def allocated_mask(self) -> np.ndarray:
@@ -162,28 +173,26 @@ def build_grid(numerology: Numerology, allocations, rng_seed: int) -> ResourceGr
             "more than once"
         )
 
-    # Draw symbols for the whole grid so co-located elements are independent
-    # of which tiles surround them, then blank the unallocated ones.
+    # Draw int64 codes (a narrower draw is another stream) for the whole grid,
+    # so co-located elements do not depend on the surrounding tiles; blank the rest.
     rng = np.random.default_rng(rng_seed)
-    symbols = _QPSK[rng.integers(0, 4, size=shape)]
-    symbols[owner < 0] = 0.0
-    return ResourceGrid(numerology=numerology, symbols=symbols, owner=owner, users=users)
+    codes = rng.integers(0, 4, size=shape).astype(np.int8)
+    codes[owner < 0] = -1
+    return ResourceGrid(numerology=numerology, codes=codes, owner=owner, users=users)
 
 
 def user_subgrid(grid: ResourceGrid, user_id: str) -> ResourceGrid:
     """Project a grid onto one user: keep its elements, zero all others.
 
-    The returned symbols are a new array, so callers may write into them.
+    The returned codes are a new array, so callers may write into them.
     """
     if user_id not in grid.users:
         raise UnknownUser(f"user {user_id!r} not present in grid")
     mine = grid.owner == grid.users.index(user_id)
-    return ResourceGrid(
-        numerology=grid.numerology,
-        symbols=np.where(mine, grid.symbols, 0.0),
-        owner=mine.astype(_owner_dtype(1)) - 1,
-        users=(user_id,),
-    )
+    owner = mine.astype(_owner_dtype(1)) - 1  # int8: 0 on the user's elements, -1 elsewhere
+    # -1 has every bit set, so OR-ing the owner in blanks every other element.
+    return ResourceGrid(numerology=grid.numerology, codes=grid.codes | owner, owner=owner,
+                        users=(user_id,))
 
 
 def full_allocation(numerology: Numerology, user_id: str = "u0") -> dict:

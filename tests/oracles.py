@@ -34,6 +34,24 @@ def center_zero_frequency(x, axis=1):
     return np.take(x, idx, axis=axis)
 
 
+def complex_grid(numerology, allocations, rng_seed, user=None):
+    """The transmit grid as one complex QPSK draw, zero off the allocated tiles.
+
+    Ownership is marked tile by tile from the allocation itself; with ``user``
+    only that user's tiles count.
+    """
+    shape = (numerology.num_carriers, numerology.symbols_per_frame)
+    qpsk = np.array([1 + 1j, -1 + 1j, -1 - 1j, 1 - 1j], dtype=np.complex128) / np.sqrt(2.0)
+    symbols = qpsk[np.random.default_rng(rng_seed).integers(0, 4, size=shape)]
+    owned = np.zeros(shape, dtype=bool)
+    for user_id, tiles in allocations.items():
+        if user is None or user_id == user:
+            for prb_row, col_start, col_end in tiles:
+                owned[12 * prb_row:12 * (prb_row + 1), 7 * col_start:7 * col_end] = True
+    symbols[~owned] = 0.0
+    return symbols
+
+
 def time_domain_receive(grid, paths, doppler_per_sample=False):
     """Simulate the receiver front end in the time domain.
 
@@ -51,15 +69,16 @@ def time_domain_receive(grid, paths, doppler_per_sample=False):
     m = num.num_carriers
     fs = m * num.subcarrier_spacing_hz
     carrier_hz = np.arange(m) * num.subcarrier_spacing_hz
-    received = np.zeros_like(grid.symbols)
-    for d in range(grid.symbols.shape[1]):
+    symbols = grid.symbols
+    received = np.zeros_like(symbols)
+    for d in range(symbols.shape[1]):
         useful_start = d * num.symbol_duration_s + num.cp_duration_s
         t_samples = useful_start + np.arange(m) / fs
         total = np.zeros(m, dtype=complex)
         for path in paths:
             # Time into the useful part, after the path delay.
             t_rel = (t_samples - path.delay_s) - useful_start
-            waveform = np.exp(2j * np.pi * np.outer(t_rel, carrier_hz)) @ grid.symbols[:, d]
+            waveform = np.exp(2j * np.pi * np.outer(t_rel, carrier_hz)) @ symbols[:, d]
             if doppler_per_sample:
                 rotation = np.exp(2j * np.pi * path.doppler_hz * t_samples)
             else:

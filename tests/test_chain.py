@@ -76,13 +76,18 @@ def test_chain_stages_do_not_mutate_their_inputs(tmp_path, window, user_id):
     unchanged(lambda: write_map(tmp_path / "map.bin", smap), smap)
 
 
-def test_run_scenario_peak_memory_stays_near_three_grids(tmp_path):
-    """Every stage holds its input, its output and the transmit grid, and little else."""
+def test_run_scenario_peak_memory_stays_near_two_grids(tmp_path):
+    """Every stage holds its input, its output and the transmit grid's int8 codes.
+
+    The reference symbols are looked up from the codes a block of rows at a
+    time, so no stage holds a third complex grid.
+    """
     scenario = load_scenario("fig4_analog")
     run_scenario(scenario, out_dir=tmp_path, log=lambda msg: None)  # warm-up
     num = scenario.numerology
     grid_bytes = num.num_carriers * num.symbols_per_frame * np.dtype(complex).itemsize
     variants = {
+        "fig4_analog": scenario,
         # Hann tapers are the worst case of the transforms.
         "hann": dataclasses.replace(scenario, delay_window="hann", doppler_window="hann"),
         # A partial allocation makes the noise calibration average over a mask.
@@ -106,4 +111,4 @@ def test_run_scenario_peak_memory_stays_near_three_grids(tmp_path):
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 3.3 * grid_bytes, f"{name}: peak {peak / grid_bytes:.2f} complex grids"
+        assert peak <= 2.5 * grid_bytes, f"{name}: peak {peak / grid_bytes:.2f} complex grids"

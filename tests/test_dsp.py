@@ -350,8 +350,9 @@ def _literal_doppler(h, window, num_symbols):
 @pytest.mark.parametrize("dtype", [np.complex128, np.complex64])
 def test_transforms_equal_their_literal_formulation_bitwise(window, dtype):
     rng = np.random.default_rng(17)
-    # a single partial block, exactly one block, and two blocks plus a remainder
-    for m in (5, _DOPPLER_BLOCK_ROWS, 2 * _DOPPLER_BLOCK_ROWS + 3):
+    # blocks of min(_DOPPLER_BLOCK_ROWS, M // 16) rows: one-row blocks,
+    # sixteen whole blocks of _DOPPLER_BLOCK_ROWS, and sixteen plus a 3-row remainder
+    for m in (20, 16 * _DOPPLER_BLOCK_ROWS, 16 * _DOPPLER_BLOCK_ROWS + 3):
         for d, num_symbols in ((28, None), (27, None), (28, 21), (27, 20), (2, None)):
             h = (rng.standard_normal((m, d)) + 1j * rng.standard_normal((m, d))).astype(dtype)
             est = ChannelEstimate(h=h, valid_mask=np.ones((m, d), bool), numerology=NUM)

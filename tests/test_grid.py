@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,8 @@ from ofdmpcl import (
     random_allocation,
     user_subgrid,
 )
+from ofdmpcl.grid import _BLOCK_ROWS
+from oracles import complex_grid
 
 NUM = Numerology(num_carriers=72, symbols_per_frame=28)
 
@@ -30,6 +34,34 @@ def test_interleaved_support_is_union_of_tiles():
     assert np.array_equal(grid.symbols != 0, union)
     # 13 tiles of 12x7 elements each
     assert union.sum() == 13 * 12 * 7
+
+
+@pytest.mark.parametrize("allocations", [
+    full_allocation(NUM),
+    random_allocation(NUM, "u0", density=0.5, seed=11),
+    THREE_USERS,
+], ids=["full", "random", "three_users"])
+def test_codes_expand_to_the_complex_grid_bitwise(allocations):
+    grid = build_grid(NUM, allocations, rng_seed=8)
+    assert grid.codes.dtype == np.int8
+    expected = complex_grid(NUM, allocations, rng_seed=8)
+    assert grid.symbols.dtype == expected.dtype
+    assert grid.symbols.tobytes() == expected.tobytes()
+    for uid in grid.users:
+        sub = user_subgrid(grid, uid)
+        assert sub.codes.dtype == np.int8
+        assert sub.symbols.tobytes() == complex_grid(NUM, allocations, 8, user=uid).tobytes()
+    # 72 carriers: one whole block of rows and a remainder
+    blocks = list(grid.symbol_blocks())
+    assert [rows.start for rows, _ in blocks] == list(range(0, NUM.num_carriers, _BLOCK_ROWS))
+    assert np.concatenate([block for _, block in blocks]).tobytes() == expected.tobytes()
+
+
+def test_no_grid_field_is_complex():
+    grid = build_grid(NUM, THREE_USERS, rng_seed=1)
+    for field in dataclasses.fields(grid):
+        value = getattr(grid, field.name)
+        assert not (isinstance(value, np.ndarray) and np.iscomplexobj(value)), field.name
 
 
 def test_full_allocation_has_no_zeros():
