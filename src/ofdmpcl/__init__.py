@@ -21,12 +21,10 @@ from .dsp import (
     estimate_channel,
     max_integration_time,
     scattering_map,
-    window_vector,
 )
 from .errors import (
     AmbiguousFix,
     CoincidentNodes,
-    DegenerateEllipse,
     DelayExceedsCp,
     DimensionMismatch,
     DopplerExceedsNarrowband,
@@ -66,7 +64,6 @@ from .grid import (
 from .locate import (
     BistaticMeasurement,
     PositionEstimate,
-    ellipse_points,
     fuse_position,
     measurement_from_detection,
 )

@@ -6,6 +6,11 @@ delay stays below the CP duration, so the channel acts as a per-element
 product: each path contributes a phase ramp across carriers (delay) and a
 phase progression across symbols (Doppler). Doppler is applied as one
 constant phase per symbol, valid while doppler * symbol_duration << 1.
+
+Nodes are synchronised: the frame starts at t = 0 with no timing or frequency
+offset. Model one by editing the paths with ``dataclasses.replace``: a timing
+offset adds to every delay, a frequency offset to every Doppler, and a frame
+start t0 rotates each gain by exp(j 2 pi doppler t0).
 """
 
 from __future__ import annotations
@@ -42,27 +47,19 @@ def check_path(numerology: Numerology, delay_s: float, doppler_hz: float) -> Non
             f"for symbol duration {numerology.symbol_duration_s:.2e} s")
 
 
-def channel_response(
-    numerology: Numerology,
-    paths: list[Path],
-    frame_start_time_s: float = 0.0,
-    timing_offset_s: float = 0.0,
-    freq_offset_hz: float = 0.0,
-) -> np.ndarray:
+def channel_response(numerology: Numerology, paths: list[Path]) -> np.ndarray:
     """Per-element channel transfer factor, summed over paths.
 
     Row m sees baseband carrier frequency m * subcarrier_spacing; column d
-    is evaluated at time frame_start + d * symbol_duration. The optional
-    offsets model imperfect synchronization: a timing offset adds to every
-    path delay, a frequency offset to every path Doppler.
+    is evaluated at the symbol start time d * symbol_duration.
     """
     m = numerology.num_carriers
     d = numerology.symbols_per_frame
     carrier_hz = np.arange(m) * numerology.subcarrier_spacing_hz
-    symbol_times = frame_start_time_s + np.arange(d) * numerology.symbol_duration_s
+    symbol_times = np.arange(d) * numerology.symbol_duration_s
 
-    delays = np.array([path.delay_s + timing_offset_s for path in paths])
-    dopplers = np.array([path.doppler_hz + freq_offset_hz for path in paths])
+    delays = np.array([path.delay_s for path in paths])
+    dopplers = np.array([path.doppler_hz for path in paths])
     for delay, doppler in zip(delays, dopplers):
         check_path(numerology, delay, doppler)
     # Sum of P separable delay x Doppler ramps as one (M x P) @ (P x D) product.
@@ -77,9 +74,6 @@ def apply_channel(
     paths: list[Path],
     noise_snr_db: float | None,
     rng_seed: int,
-    frame_start_time_s: float = 0.0,
-    timing_offset_s: float = 0.0,
-    freq_offset_hz: float = 0.0,
 ) -> SymbolFrame:
     """Propagate a transmit grid through a multipath channel plus noise.
 
@@ -90,13 +84,7 @@ def apply_channel(
     imaginary parts, each in row-major order. Noise on a grid without an
     allocated element raises EmptyReference.
     """
-    received = channel_response(
-        grid.numerology,
-        paths,
-        frame_start_time_s=frame_start_time_s,
-        timing_offset_s=timing_offset_s,
-        freq_offset_hz=freq_offset_hz,
-    )
+    received = channel_response(grid.numerology, paths)
     for rows, tx in grid.symbol_blocks():
         received[rows] *= tx
 

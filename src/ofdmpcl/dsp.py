@@ -68,10 +68,6 @@ class SpreadingFunction:
     def zero_doppler_bin(self) -> int:
         return self.s.shape[1] // 2
 
-    def doppler_axis_hz(self) -> np.ndarray:
-        d = self.s.shape[1]
-        return (np.arange(d) - d // 2) * self.doppler_bin_hz
-
 
 @dataclass
 class ScatteringMap:

@@ -54,10 +54,6 @@ class NegativeExcess(OfdmPclError):
     """A detection's delay is negative relative to the line-of-sight peak."""
 
 
-class DegenerateEllipse(OfdmPclError):
-    """Total range does not exceed the baseline; the ellipse collapses."""
-
-
 class NoConvergence(OfdmPclError):
     """Position solver failed to reduce the residual within its budget.
 

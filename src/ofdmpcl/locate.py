@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .detect import Detection
-from .errors import AmbiguousFix, DegenerateEllipse, NegativeExcess
+from .errors import AmbiguousFix, NegativeExcess
 from .geometry import SPEED_OF_LIGHT, BistaticPair
 from .grid import Numerology
 
@@ -68,34 +68,6 @@ def measurement_from_detection(
         total_range_m=pair.baseline_m + SPEED_OF_LIGHT * det.refined_delay_s,
         doppler_hz=det.refined_doppler_hz,
         variance_m2=sigma**2,
-    )
-
-
-def ellipse_points(meas: BistaticMeasurement, n: int) -> np.ndarray:
-    """n points on the measurement's ellipse, foci at the pair positions.
-
-    Point 0 is the major-axis vertex nearest the transmitter; the rest
-    follow counter-clockwise in the ellipse frame.
-    """
-    if n < 1:
-        raise ValueError("need at least one point")
-    a = 0.5 * meas.total_range_m
-    c_half = 0.5 * meas.pair.baseline_m
-    if a <= c_half:
-        raise DegenerateEllipse(
-            f"total range {meas.total_range_m:.3f} m does not exceed baseline "
-            f"{meas.pair.baseline_m:.3f} m"
-        )
-    b = np.sqrt(a**2 - c_half**2)
-    center = 0.5 * (meas.pair.tx_position + meas.pair.rx_position)
-    # Unit vector from center toward the transmitter-side vertex.
-    e1 = (meas.pair.tx_position - meas.pair.rx_position) / meas.pair.baseline_m
-    e2 = np.array([-e1[1], e1[0]])
-    theta = 2.0 * np.pi * np.arange(n) / n
-    return (
-        center[None, :]
-        + a * np.cos(theta)[:, None] * e1[None, :]
-        + b * np.sin(theta)[:, None] * e2[None, :]
     )
 
 

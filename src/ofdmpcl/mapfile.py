@@ -60,9 +60,10 @@ def read_map(path) -> ScatteringMap:
     if raw[:8] != MAP_MAGIC:
         raise UnreadableMap(f"{path}: bad magic {raw[:8]!r}")
     m_f, d_f, delay_bin, doppler_bin = struct.unpack("<4d", raw[8:40])
-    m, d = int(m_f), int(d_f)
-    if m <= 0 or d <= 0 or m != m_f or d != d_f:
+    # is_integer() is False for NaN and infinities, so int() cannot fail.
+    if not (m_f.is_integer() and d_f.is_integer() and m_f > 0 and d_f > 0):
         raise UnreadableMap(f"{path}: invalid dimensions {m_f} x {d_f}")
+    m, d = int(m_f), int(d_f)
     expected = MAP_HEADER_BYTES + 4 * m * d
     if len(raw) != expected:
         raise UnreadableMap(

@@ -122,27 +122,19 @@ def dirichlet_power(x, n):
     return out
 
 
-def channel_response_sum(
-    numerology, paths, frame_start_time_s=0.0, timing_offset_s=0.0, freq_offset_hz=0.0
-):
+def channel_response_sum(numerology, paths):
     """Channel transfer factor as a literal per-path outer-product sum.
 
     Each path adds gain * exp(-j2pi f tau) exp(j2pi nu t) over carriers f and
-    symbol start times t, with the sync offsets added to every delay and
-    Doppler.
+    symbol start times t.
     """
     carrier_hz = np.arange(numerology.num_carriers) * numerology.subcarrier_spacing_hz
-    symbol_times = (
-        frame_start_time_s
-        + np.arange(numerology.symbols_per_frame) * numerology.symbol_duration_s
-    )
+    symbol_times = np.arange(numerology.symbols_per_frame) * numerology.symbol_duration_s
     response = np.zeros((carrier_hz.size, symbol_times.size), dtype=complex)
     for path in paths:
-        delay = path.delay_s + timing_offset_s
-        doppler = path.doppler_hz + freq_offset_hz
         response += path.gain * np.outer(
-            np.exp(-2j * np.pi * carrier_hz * delay),
-            np.exp(2j * np.pi * doppler * symbol_times),
+            np.exp(-2j * np.pi * carrier_hz * path.delay_s),
+            np.exp(2j * np.pi * path.doppler_hz * symbol_times),
         )
     return response
 

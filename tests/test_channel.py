@@ -142,17 +142,6 @@ def test_per_sample_doppler_error_is_narrowband_small():
     assert rel.max() < 2 * np.pi * alpha * num.symbol_duration_s
 
 
-def test_sync_offsets_shift_delay_and_doppler():
-    grid = make_grid()
-    shifted = apply_channel(
-        grid, [path()], None, 0, timing_offset_s=0.9e-6, freq_offset_hz=150.0
-    )
-    equivalent = apply_channel(
-        grid, [path(delay_s=0.9e-6, doppler_hz=150.0)], None, 0
-    )
-    np.testing.assert_allclose(shifted.symbols, equivalent.symbols, rtol=1e-12)
-
-
 def test_channel_response_independent_of_allocation():
     response = channel_response(NUM, [path(delay_s=1e-6, doppler_hz=100.0)])
     assert response.shape == (NUM.num_carriers, NUM.symbols_per_frame)
@@ -164,7 +153,7 @@ def test_doppler_beyond_narrowband_is_a_package_error():
         channel_response(NUM, [path(doppler_hz=5e3)])
 
 
-def test_channel_response_matches_per_path_sum_with_sync_offsets():
+def test_channel_response_matches_per_path_sum():
     # One dominant path keeps every element's magnitude above 0.4, so a
     # relative tolerance is meaningful everywhere.
     paths = [
@@ -173,10 +162,9 @@ def test_channel_response_matches_per_path_sum_with_sync_offsets():
         path(delay_s=3.1e-6, doppler_hz=55.0, gain=0.1j),
         path(delay_s=0.0, doppler_hz=0.0, gain=0.15, kind="los"),
     ]
-    kwargs = dict(frame_start_time_s=2.5e-3, timing_offset_s=0.4e-6, freq_offset_hz=-35.0)
     np.testing.assert_allclose(
-        channel_response(NUM, paths, **kwargs),
-        channel_response_sum(NUM, paths, **kwargs),
+        channel_response(NUM, paths),
+        channel_response_sum(NUM, paths),
         rtol=1e-12,
         atol=0,
     )

@@ -163,8 +163,8 @@ def test_on_grid_doppler_peaks_at_that_bin():
         power = np.abs(sf.s) ** 2
         delay_bin, doppler_bin = np.unravel_index(np.argmax(power), power.shape)
         assert (delay_bin, doppler_bin) == (2, sf.zero_doppler_bin + k)
-        assert sf.doppler_axis_hz()[doppler_bin] == pytest.approx(
-            k / (num.symbols_per_frame * num.symbol_duration_s)
+        assert sf.doppler_bin_hz == pytest.approx(
+            1.0 / (num.symbols_per_frame * num.symbol_duration_s)
         )
 
 

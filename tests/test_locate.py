@@ -5,12 +5,10 @@ from ofdmpcl import (
     AmbiguousFix,
     BistaticMeasurement,
     BistaticPair,
-    DegenerateEllipse,
     Detection,
     NegativeExcess,
     Numerology,
     SPEED_OF_LIGHT,
-    ellipse_points,
     fuse_position,
     measurement_from_detection,
 )
@@ -93,17 +91,6 @@ def test_measurement_rejects_nan_or_infinite_fields(total_range_m, variance_m2):
         BistaticMeasurement(pair_at((0, 0), (100, 0)), total_range_m, 0.0, variance_m2)
 
 
-def test_ellipse_points_satisfy_focal_sum():
-    pair = pair_at((0, 0), (100, 0))
-    meas = BistaticMeasurement(pair, total_range_m=200.0, doppler_hz=0.0, variance_m2=1.0)
-    points = ellipse_points(meas, 64)
-    assert points.shape == (64, 2)
-    sums = np.linalg.norm(points - pair.tx_position, axis=1) + np.linalg.norm(
-        points - pair.rx_position, axis=1
-    )
-    np.testing.assert_allclose(sums, 200.0, atol=1e-9 * 200.0)
-
-
 def test_known_point_lies_on_its_ellipse():
     pair = pair_at((0, 0), (100, 0))
     target = np.array([50.0, 50.0])
@@ -112,25 +99,6 @@ def test_known_point_lies_on_its_ellipse():
         pair.rx_position - target
     )
     assert abs(focal - meas.total_range_m) < 1e-6
-    # the generated polyline passes near the target point
-    points = ellipse_points(meas, 4096)
-    assert np.linalg.norm(points - target, axis=1).min() < 0.2
-
-
-def test_ellipse_start_point_is_vertex_nearest_tx():
-    pair = pair_at((0, 0), (100, 0))
-    meas = BistaticMeasurement(pair, total_range_m=140.0, doppler_hz=0.0, variance_m2=1.0)
-    points = ellipse_points(meas, 4)
-    assert len(points) == 4
-    # center (50, 0), semi-major 70, Tx-side vertex at (-20, 0)
-    np.testing.assert_allclose(points[0], [-20.0, 0.0], atol=1e-9)
-
-
-def test_degenerate_ellipse_rejected():
-    pair = pair_at((0, 0), (100, 0))
-    meas = measurement_from_detection(detection(0.0), pair, NUM)
-    with pytest.raises(DegenerateEllipse):
-        ellipse_points(meas, 16)
 
 
 def test_two_exact_pairs_recover_target():

@@ -1,5 +1,6 @@
 import csv
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from ofdmpcl.cli import main as cli_main
 from ofdmpcl.dsp import ScatteringMap
 from ofdmpcl.mapfile import (
     DETECTION_COLUMNS,
+    MAP_MAGIC,
     POSITION_COLUMNS,
     render_heatmap,
     write_map,
@@ -103,6 +105,11 @@ def test_map_file_bad_magic_and_truncation(tmp_path):
         read_map(path)
     with pytest.raises(UnreadableMap):
         read_map(tmp_path / "missing.bin")
+    for bad in (float("nan"), float("inf"), -float("inf"), 1.5):
+        path.write_bytes(MAP_MAGIC + struct.pack("<4d", bad, 8.0, 1e-9, 1.0)
+                         + b"\x00" * (24 + 4 * 64))
+        with pytest.raises(UnreadableMap, match="invalid dimensions"):
+            read_map(path)
 
 
 # ----------------------------------------------------------------- heatmaps
