@@ -89,7 +89,7 @@ def apply_channel(
         received[rows] *= tx
 
     if noise_snr_db is not None:
-        allocated = grid.allocated_mask
+        allocated = grid.codes >= 0
         if not np.any(allocated):
             raise EmptyReference("cannot calibrate noise on a grid with no allocated element")
         # |received|^2 goes into the buffer the noise is later drawn into.

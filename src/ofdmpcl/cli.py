@@ -10,11 +10,22 @@ Exit codes: 0 success, 1 runtime error, 2 configuration error.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from .errors import OfdmPclError, ScenarioError
 from .mapfile import export_heatmap
 from .scenario import load_scenario, run_scenario
+
+
+def _floor_db(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0.0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}")
+    return value
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -33,7 +44,7 @@ def _build_parser() -> argparse.ArgumentParser:
     heat_p.add_argument("map", help="scattering map file")
     heat_p.add_argument("image", help="output PGM path")
     heat_p.add_argument(
-        "--floor-db", type=float, default=60.0,
+        "--floor-db", type=_floor_db, default=60.0,
         help="dynamic range below the peak (default 60)",
     )
 

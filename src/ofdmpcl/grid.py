@@ -5,7 +5,9 @@ D OFDM symbols). Users own rectangular PRB tiles of 12 carriers x 7 symbols;
 everything a user owns is seeded unit-power QPSK, held as an int8 code 0-3,
 and everything else is exactly zero, code -1. Ownership is one integer array
 of the same shape: ``owner`` holds each element's index into the ``users``
-tuple of user ids, -1 where no user owns it.
+tuple of user ids, -1 where no user owns it. Tiles are placed one PRB cell
+per tile slot on a prb_rows x prb_cols array, which is then expanded to
+elements; carriers and symbols past the last whole PRB belong to no user.
 """
 
 from __future__ import annotations
@@ -100,39 +102,31 @@ class ResourceGrid:
             rows = slice(r0, r0 + _BLOCK_ROWS)
             yield rows, np.take(_QPSK, self.codes[rows].view(np.uint8), mode="clip")
 
-    @property
-    def allocated_mask(self) -> np.ndarray:
-        """Elements that some user owns."""
-        return self.owner >= 0
-
 
 def _owner_dtype(num_users: int) -> np.dtype:
     """Smallest signed integer type holding -1 and every user index."""
     return np.min_scalar_type(-max(num_users, 1))
 
 
-def tile_slices(numerology: Numerology, tile, user_id: str) -> tuple[slice, slice]:
-    """Map one (prb_row, col_start, col_end) tile to (carrier, symbol) slices.
+def place_tile(cells: np.ndarray, tile, k: int, user_id: str):
+    """Write user index k into one (prb_row, col_start, col_end) tile of a PRB
+    owner array; return the first (prb_row, slot) it found taken, or None.
 
     Column bounds are in slot units (7 symbols each), end exclusive.
     """
     prb_row, col_start, col_end = tile
-    nrows = numerology.prb_rows
-    ncols = numerology.prb_cols
+    nrows, ncols = cells.shape
     if not (0 <= prb_row < nrows):
-        raise OutOfBounds(
-            f"user {user_id!r}: prb_row {prb_row} outside 0..{nrows - 1}"
-        )
+        raise OutOfBounds(f"user {user_id!r}: prb_row {prb_row} outside 0..{nrows - 1}")
     if not (0 <= col_start < col_end <= ncols):
-        raise OutOfBounds(
-            f"user {user_id!r}: slot range [{col_start}, {col_end}) outside "
-            f"0..{ncols}"
-        )
-    r0 = prb_row * PRB_CARRIERS
-    return (
-        slice(r0, r0 + PRB_CARRIERS),
-        slice(col_start * PRB_SYMBOLS, col_end * PRB_SYMBOLS),
-    )
+        raise OutOfBounds(f"user {user_id!r}: slot range [{col_start}, {col_end}) "
+                          f"outside 0..{ncols}")
+    block = cells[prb_row, col_start:col_end]
+    first = None
+    if block[block.argmax()] >= 0:  # the cheap test that some cell is taken
+        first = (prb_row, col_start + int(np.flatnonzero(block >= 0)[0]))
+    block[...] = k
+    return first
 
 
 def build_grid(numerology: Numerology, allocations, rng_seed: int) -> ResourceGrid:
@@ -152,26 +146,23 @@ def build_grid(numerology: Numerology, allocations, rng_seed: int) -> ResourceGr
     """
     shape = (numerology.num_carriers, numerology.symbols_per_frame)
     users = tuple(str(user_id) for user_id in allocations)
-    # Every tile is resolved before any is written, so bounds errors come first.
-    placed = [
-        (k, *tile_slices(numerology, tile, user_id))
-        for k, (user_id, tiles) in enumerate(allocations.items())
-        for tile in tiles
-    ]
-    owner = np.full(shape, -1, dtype=_owner_dtype(len(users)))
-    clash = None
-    for k, rows, cols in placed:
-        block = owner[rows, cols]
-        if block.max() >= 0:
-            m, d = np.argwhere(block >= 0)[0]
-            hit = (rows.start + int(m), cols.start + int(d))
-            clash = hit if clash is None else min(clash, hit)
-        block[...] = k
+    cells = np.full((numerology.prb_rows, numerology.prb_cols), -1,
+                    dtype=_owner_dtype(len(users)))
+    taken = [place_tile(cells, tile, k, user_id)
+             for k, (user_id, tiles) in enumerate(allocations.items()) for tile in tiles]
+    # Raised after every tile is placed, so bounds errors come first. A PRB
+    # cell's top-left element is its row-major first.
+    clash = min(filter(None, taken), default=None)
     if clash is not None:
         raise OverlappingAllocation(
-            f"resource element (carrier {clash[0]}, symbol {clash[1]}) is claimed "
-            "more than once"
+            f"resource element (carrier {clash[0] * PRB_CARRIERS}, symbol "
+            f"{clash[1] * PRB_SYMBOLS}) is claimed more than once"
         )
+    owner = np.full(shape, -1, dtype=cells.dtype)
+    slots = cells.repeat(PRB_SYMBOLS, axis=1)
+    # The whole-PRB rows of owner are contiguous, so this reshape is a view.
+    prbs = owner[:len(cells) * PRB_CARRIERS].reshape(len(cells), PRB_CARRIERS, -1)
+    prbs[:, :, :slots.shape[1]] = slots[:, None, :]
 
     # Draw int64 codes (a narrower draw is another stream) for the whole grid,
     # so co-located elements do not depend on the surrounding tiles; blank the rest.

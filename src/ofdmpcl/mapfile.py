@@ -70,6 +70,9 @@ def read_map(path) -> ScatteringMap:
             f"{path}: expected {expected} bytes for {m}x{d} map, got {len(raw)}"
         )
     power = np.frombuffer(raw[MAP_HEADER_BYTES:], dtype="<f4").reshape(m, d)
+    # write_map stores powers |.|^2; a NaN makes min and max NaN, failing both tests.
+    if not (power.min() >= 0 and power.max() < np.inf):
+        raise UnreadableMap(f"{path}: map holds non-finite or negative power")
     return ScatteringMap(
         power=power.astype(np.float64),
         delay_bin_s=delay_bin,
@@ -83,8 +86,8 @@ def render_heatmap(power: np.ndarray, db_floor: float) -> np.ndarray:
     Levels are clipped at ``db_floor`` below the peak; the peak maps to 255.
     A zero floor degenerates to the binary peak mask.
     """
-    if db_floor < 0:
-        raise ValueError("db_floor must be non-negative")
+    if not 0.0 <= db_floor < np.inf:
+        raise ValueError("db_floor must be finite and non-negative")
     peak = float(power.max())
     image = np.flipud(power.T)  # rows: Doppler, most positive on top
     if peak <= 0:

@@ -47,8 +47,8 @@ from .grid import (
     ResourceGrid,
     build_grid,
     full_allocation,
+    place_tile,
     random_allocation,
-    tile_slices,
 )
 from .locate import fuse_position, measurement_from_detection
 from .mapfile import (
@@ -235,9 +235,7 @@ def _read(obj, path: str, rows: dict, errors: list) -> dict | None:
 
 def _tile_users(tiles: list, numerology: Numerology, errors: list) -> set:
     """Users of the allocation's tiles; checks shapes, bounds and overlap."""
-    # PRB rows x slots already claimed: tiles are PRB-aligned, so this is
-    # build_grid's element-level overlap rule at PRB granularity.
-    claimed = np.zeros((numerology.prb_rows, numerology.prb_cols), dtype=bool)
+    cells = np.full((numerology.prb_rows, numerology.prb_cols), -1, dtype=np.int8)
     users = set()
     for i, tile in enumerate(tiles):
         where = f"at $.allocation.tiles[{i}]"
@@ -247,14 +245,10 @@ def _tile_users(tiles: list, numerology: Numerology, errors: list) -> set:
             continue
         users.add(tile[0])
         try:
-            tile_slices(numerology, tile[1:], tile[0])
+            if place_tile(cells, tile[1:], 0, tile[0]):
+                errors.append(f"{where}: overlaps an earlier tile")
         except OutOfBounds as exc:
             errors.append(f"{where}: {exc}")
-            continue
-        row, col_start, col_end = tile[1:]
-        if claimed[row, col_start:col_end].any():
-            errors.append(f"{where}: overlaps an earlier tile")
-        claimed[row, col_start:col_end] = True
     return users
 
 

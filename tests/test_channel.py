@@ -137,7 +137,7 @@ def test_per_sample_doppler_error_is_narrowband_small():
     paths = [path(doppler_hz=alpha)]
     frame = apply_channel(grid, paths, noise_snr_db=None, rng_seed=0)
     reference = time_domain_receive(grid, paths, doppler_per_sample=True)
-    allocated = grid.allocated_mask
+    allocated = grid.codes >= 0
     rel = np.abs(frame.symbols - reference)[allocated] / np.abs(reference)[allocated]
     assert rel.max() < 2 * np.pi * alpha * num.symbol_duration_s
 
@@ -190,7 +190,7 @@ def test_noisy_frame_matches_the_masked_mean_calibration():
     paths = [path(gain=0.7 - 0.1j), path(3 * NUM.delay_bin_s, 150.0, 0.2 + 0.1j)]
     frame = apply_channel(grid, paths, noise_snr_db=12.0, rng_seed=9)
     received = channel_response(NUM, paths) * grid.symbols
-    signal_power = float(np.mean(np.abs(received[grid.allocated_mask]) ** 2))
+    signal_power = float(np.mean(np.abs(received[grid.codes >= 0]) ** 2))
     scale = np.sqrt(signal_power * 10.0 ** (-12.0 / 10.0) / 2.0)
     rng = np.random.default_rng(9)
     received.real += rng.standard_normal(received.shape) * scale

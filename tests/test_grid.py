@@ -155,7 +155,7 @@ def test_random_allocation_density_and_determinism():
     alloc_b = random_allocation(NUM, "u", density=0.5, seed=11)
     assert alloc_a == alloc_b
     grid = build_grid(NUM, alloc_a, rng_seed=0)
-    assert 0 < grid.allocated_mask.sum() < grid.symbols.size
+    assert 0 < (grid.codes >= 0).sum() < grid.symbols.size
 
 
 def test_numerology_validation():
@@ -175,14 +175,15 @@ def test_numerology_derived_quantities():
     assert num.bandwidth_hz == pytest.approx(1.08e6)
 
 
-def test_overlap_error_names_first_element_in_row_major_order():
+@pytest.mark.parametrize("allocations, element", [
     # u1's first tile overlaps u0 at carrier 36, its second at carrier 12:
     # the report follows element order, not tile order.
-    allocations = {
-        "u0": [(3, 0, 2), (1, 2, 4)],
-        "u1": [(3, 1, 2), (1, 3, 4)],
-    }
-    with pytest.raises(OverlappingAllocation, match=r"\(carrier 12, symbol 21\)"):
+    ({"u0": [(3, 0, 2), (1, 2, 4)], "u1": [(3, 1, 2), (1, 3, 4)]}, (12, 21)),
+    # The clash lies in the third slot of b's four-slot tile.
+    ({"a": [(2, 2, 3)], "b": [(2, 0, 4)]}, (24, 14)),
+], ids=["two_clashes", "inside_a_multi_slot_tile"])
+def test_overlap_error_names_first_element_in_row_major_order(allocations, element):
+    with pytest.raises(OverlappingAllocation, match=r"\(carrier %d, symbol %d\)" % element):
         build_grid(NUM, allocations, rng_seed=0)
 
 
@@ -215,4 +216,29 @@ def test_grid_without_users_is_all_zero():
     grid = build_grid(NUM, {}, rng_seed=0)
     assert grid.users == ()
     assert not np.any(grid.symbols)
-    assert not np.any(grid.allocated_mask)
+    assert not np.any(grid.codes >= 0)
+
+
+# 66 carriers and 30 symbols: 5 whole PRB rows and 4 whole slots, with 6
+# carriers and 2 symbols past the last whole PRB.
+PARTIAL = Numerology(num_carriers=66, symbols_per_frame=30)
+
+
+@pytest.mark.parametrize("allocations", [
+    full_allocation(PARTIAL),
+    {"u0": [(0, 0, 2), (4, 3, 4)], "u1": [(1, 1, 4), (4, 0, 1)], "u2": [(3, 2, 3)]},
+], ids=["full", "tiles"])
+def test_owner_expands_prb_tiles_and_leaves_the_partial_prb_unowned(allocations):
+    grid = build_grid(PARTIAL, allocations, rng_seed=6)
+    expected = np.full((66, 30), -1)
+    for k, tiles in enumerate(allocations.values()):
+        for row, col_start, col_end in tiles:
+            expected[row * 12:(row + 1) * 12, col_start * 7:col_end * 7] = k
+    assert np.array_equal(grid.owner, expected)
+    assert np.all(grid.codes[60:, :] == -1)
+    assert np.all(grid.codes[:, 28:] == -1)
+    assert np.array_equal(grid.codes >= 0, expected >= 0)
+    total = sum(user_subgrid(grid, uid).symbols for uid in grid.users)
+    assert np.array_equal(total, grid.symbols)
+    for k, uid in enumerate(grid.users):
+        assert np.array_equal(user_subgrid(grid, uid).owner == 0, expected == k)

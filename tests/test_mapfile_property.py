@@ -1,8 +1,9 @@
 """Property test: `read_map` returns an M x D map or raises UnreadableMap.
 
 Each example writes a CPCLMAP1 header with arbitrary float64 fields and a
-payload of arbitrary length. Dimensions are drawn as small integers often
-enough that the payload sometimes fits the header exactly.
+payload of arbitrary bytes and length. Dimensions are drawn as small
+integers often enough that the payload sometimes fits the header exactly.
+Every map that reads holds finite powers >= 0.
 """
 
 import math
@@ -40,7 +41,8 @@ def map_files(draw):
         payload = draw(st.integers(0, MAX_PAYLOAD_BYTES))
     header = MAP_MAGIC + struct.pack("<4d", m, d, delay_bin, doppler_bin)
     header += b"\x00" * (MAP_HEADER_BYTES - len(header))
-    return header + bytes(max(payload, 0)), (m, d)
+    size = max(payload, 0)
+    return header + draw(st.binary(min_size=size, max_size=size)), (m, d)
 
 
 @settings(max_examples=100, derandomize=True, deadline=None, database=None)
@@ -56,6 +58,7 @@ def _read_map_returns_a_map_or_raises_unreadable(case):
             return
     assert smap.power.shape == (m, d)
     assert smap.power.dtype == np.float64
+    assert np.all(np.isfinite(smap.power)) and np.all(smap.power >= 0)
 
 
 def test_read_map_returns_a_map_or_raises_unreadable():

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import struct
 
 import numpy as np
@@ -112,6 +113,20 @@ def test_map_file_bad_magic_and_truncation(tmp_path):
             read_map(path)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -1.0])
+def test_map_file_with_non_finite_or_negative_power_is_unreadable(tmp_path, capsys, value):
+    power = np.ones((8, 8))
+    power[3, 5] = value
+    path = tmp_path / "m.bin"
+    write_map(path, ScatteringMap(power=power, delay_bin_s=1e-9, doppler_bin_hz=1.0))
+    with pytest.raises(UnreadableMap, match="non-finite or negative power"):
+        read_map(path)
+    image = tmp_path / "x.pgm"
+    assert cli_main(["heatmap", str(path), str(image)]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+    assert not image.exists()
+
+
 # ----------------------------------------------------------------- heatmaps
 
 
@@ -135,6 +150,12 @@ def test_heatmap_orientation_positive_doppler_on_top():
     image = render_heatmap(power, db_floor=30.0)
     assert image[0, 2] == 255
     assert image.sum() == 255
+
+
+@pytest.mark.parametrize("floor", [-5.0, math.nan, math.inf])
+def test_heatmap_floor_must_be_finite_and_non_negative(floor):
+    with pytest.raises(ValueError):
+        render_heatmap(np.ones((4, 4)), db_floor=floor)
 
 
 def test_heatmap_cli_writes_pgm(tmp_path):
@@ -304,6 +325,20 @@ def test_cli_run_and_reports(tmp_path, capsys):
 
 def test_cli_heatmap_missing_map_is_runtime_error(tmp_path):
     assert cli_main(["heatmap", str(tmp_path / "nope.bin"), str(tmp_path / "x.pgm")]) == 1
+
+
+@pytest.mark.parametrize("floor", ["-5", "nan", "inf"])
+def test_cli_heatmap_floor_that_is_not_finite_and_non_negative_is_a_usage_error(
+        tmp_path, capsys, floor):
+    map_file = tmp_path / "m.bin"
+    write_map(map_file, ScatteringMap(power=np.ones((8, 8)), delay_bin_s=1e-9, doppler_bin_hz=1.0))
+    image = tmp_path / "x.pgm"
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["heatmap", str(map_file), str(image), "--floor-db", floor])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--floor-db" in err and "Traceback" not in err
+    assert not image.exists()
 
 
 def test_csv_floats_are_plain_numbers(tmp_path):
