@@ -170,15 +170,17 @@ def los_path(
     )
 
 
+def seed_words(seed: int, *labels: str) -> tuple:
+    """Entropy of one random stream: the run's seed, then a CRC-32 per label.
+
+    Each seed and each label tuple draws its own stream.
+    """
+    return (seed, *(zlib.crc32(label.encode()) for label in labels))
+
+
 def _path_phase(scene: Scene, tx_id: str, rx_id: str, via: str | None) -> float:
     """Uniform random phase, reproducible from the scene seed and the ids."""
-    words = (
-        scene.seed & 0xFFFFFFFF,
-        zlib.crc32(tx_id.encode()),
-        zlib.crc32(rx_id.encode()),
-        zlib.crc32((via or "\x00los").encode()),
-    )
-    rng = np.random.default_rng(words)
+    rng = np.random.default_rng(seed_words(scene.seed, tx_id, rx_id, via or "\x00los"))
     return float(rng.uniform(0.0, 2.0 * np.pi))
 
 

@@ -167,14 +167,14 @@ def _gauss_newton(start, tx, rx, ranges, weights):
     return point, res, cost
 
 
-def fuse_position(measurements, init=None) -> PositionEstimate:
+def fuse_position(measurements) -> PositionEstimate:
     """Fuse two or more total-range measurements into a 2D fix.
 
     Minimizes sum_i (focal_sum_i - range_i)^2 / variance_i. Starting points
-    come from ``init`` when given, otherwise from a coarse grid search over
-    the measurement bounding box; the candidate with the lowest residual
-    wins. Raises AmbiguousFix when a second distinct basin fits within 10%
-    of the best residual (both candidates attached, lowest first).
+    come from a coarse grid search over the measurement bounding box; the
+    candidate with the lowest residual wins. Raises AmbiguousFix when a
+    second distinct basin fits within 10% of the best residual (both
+    candidates attached, lowest first).
     """
     measurements = list(measurements)
     if len(measurements) < 2:
@@ -184,15 +184,9 @@ def fuse_position(measurements, init=None) -> PositionEstimate:
     ranges = np.array([m.total_range_m for m in measurements], dtype=float)
     weights = 1.0 / np.array([m.variance_m2 for m in measurements], dtype=float)
 
-    if init is not None:
-        starts = [np.asarray(init, dtype=float)]
-        diag = 1.0 + float(np.linalg.norm(starts[0]))
-    else:
-        candidates, diag = _grid_candidates(tx, rx, ranges, weights)
-        starts = candidates[:4]
-
+    candidates, diag = _grid_candidates(tx, rx, ranges, weights)
     solutions = []
-    for start in starts:
+    for start in candidates[:4]:
         point, res, cost = _gauss_newton(start, tx, rx, ranges, weights)
         # Deduplicate basins.
         if any(np.linalg.norm(point - s[0]) < 1e-3 * diag for s in solutions):

@@ -107,7 +107,7 @@ def write_pgm(path, image: np.ndarray) -> None:
         f.write(image.astype(np.uint8).tobytes())
 
 
-def export_heatmap(map_path, image_path, db_floor: float = 60.0) -> None:
+def export_heatmap(map_path, image_path, db_floor: float) -> None:
     """Render a stored scattering map to a grayscale PGM image."""
     smap = read_map(map_path)
     write_pgm(image_path, render_heatmap(smap.power, db_floor))

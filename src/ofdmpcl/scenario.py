@@ -17,8 +17,8 @@ import dataclasses
 import datetime
 import hashlib
 import json
+import re
 import sys
-import zlib
 from dataclasses import MISSING, dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -39,7 +39,7 @@ from .dsp import (
 )
 from .errors import AmbiguousFix, NegativeExcess, OfdmPclError, OutOfBounds, ScenarioError
 from .geometry import NODE_KINDS, RADIO_KINDS, SPEED_OF_LIGHT, Node, Scene, enumerate_paths
-from .geometry import bistatic_path, los_magnitude, los_path
+from .geometry import bistatic_path, los_magnitude, los_path, seed_words
 from .grid import (
     PRB_CARRIERS,
     PRB_SYMBOLS,
@@ -120,10 +120,13 @@ _KINDS = {
 
 
 def _bound(spec) -> tuple:
-    """(test, message) of a bound: the admitted strings, or an interval such
-    as "(0, 1]", which holds each component of a "vec2"."""
+    """(test, message) of a bound: the admitted strings, a pattern the whole
+    string must match, or an interval such as "(0, 1]", which holds each
+    component of a "vec2"."""
     if isinstance(spec, tuple):
         return spec.__contains__, f"must be one of {', '.join(spec)}"
+    if isinstance(spec, re.Pattern):
+        return spec.fullmatch, f"must match {spec.pattern}"
     lo, hi = (float(end) for end in spec[1:-1].split(","))
     lo_open, hi_open = spec[0] == "(", spec[-1] == ")"
     return (lambda v: lo <= v <= hi and not (lo_open and v == lo or hi_open and v == hi),
@@ -152,7 +155,8 @@ _NUMEROLOGY = _rows(
 )
 _NODE = _rows(
     Node,
-    id=("str", None),
+    # Ids name the artifact files, so they hold no path separator or NUL.
+    id=("str", re.compile(r"[A-Za-z0-9._-]{1,64}")),
     kind=("str", NODE_KINDS),
     # Keeps ranges and range rates far from float overflow; the cyclic prefix
     # rejects far smaller scenes anyway.
@@ -192,7 +196,7 @@ _SCENARIO = _rows(
     los_excess_db=("number", "[-100, 100]"),
     process_user=("str", None),
     localization=("bool", None),
-    output_dir=("str", None),
+    output_dir=("str", re.compile(r"[^\x00]*")),  # no path holds a NUL
 )
 
 
@@ -307,11 +311,12 @@ def scenario_from_dict(data: dict, name: str = "scenario") -> Scenario:
                               velocity=raw["velocity_mps"], reflectivity=raw["reflectivity"]))
         kinds.setdefault(raw["id"], raw["kind"])
 
-    pairs = []
+    pairs, writers = [], {}  # artifact name stem -> index of the pair writing it
     for i, raw in enumerate(top["pairs"] or []):
         if not raw or None in raw.values():
             continue
         tx, rx = raw["tx"], raw["rx"]
+        stem = f"{tx}_{rx}"  # as _run_pair names the files
         bad = [f"at $.pairs[{i}].{end}: " + (f"node {node_id!r} is not a radio node"
                                              if node_id in kinds else f"unknown node {node_id!r}")
                for end, node_id in (("tx", tx), ("rx", rx)) if kinds.get(node_id) not in RADIO_KINDS]
@@ -319,9 +324,11 @@ def scenario_from_dict(data: dict, name: str = "scenario") -> Scenario:
             errors.extend(bad)
         elif tx == rx:
             errors.append(f"at $.pairs[{i}]: tx and rx must differ")
-        elif any(p.tx == tx and p.rx == rx for p in pairs):
-            errors.append(f"at $.pairs[{i}]: duplicate pair {tx!r}/{rx!r}")
+        elif stem in writers:
+            errors.append(f"at $.pairs[{i}]: would overwrite map_{stem}.bin and "
+                          f"detections_{stem}.csv of $.pairs[{writers[stem]}]")
         else:
+            writers[stem] = i
             pairs.append(PairSpec(tx=tx, rx=rx))
 
     allocation, users = top["allocation"], set()
@@ -409,15 +416,6 @@ def _allocations_from_spec(scn: Scenario) -> dict:
     return allocations
 
 
-def _noise_seed(scn: Scenario, pair: PairSpec) -> tuple:
-    return (
-        scn.seed & 0xFFFFFFFF,
-        zlib.crc32(b"noise"),
-        zlib.crc32(pair.tx.encode()),
-        zlib.crc32(pair.rx.encode()),
-    )
-
-
 @dataclass
 class PairResult:
     pair: PairSpec
@@ -434,10 +432,6 @@ class RunResult:
     positions_file: Path | None
     manifest_file: Path
 
-    @property
-    def detections(self) -> dict:
-        return {pr.pair.pair_id: pr.detections for pr in self.pair_results}
-
 
 def _run_pair(scenario: Scenario, scene: Scene, grid: ResourceGrid, pair_spec: PairSpec,
               out: Path) -> PairResult:
@@ -445,7 +439,8 @@ def _run_pair(scenario: Scenario, scene: Scene, grid: ResourceGrid, pair_spec: P
     Each stage's input is released as soon as the next stage returns."""
     pair = scene.pair(pair_spec.tx, pair_spec.rx)
     paths = enumerate_paths(scene, pair, scenario.numerology.carrier_frequency_hz)
-    frame = apply_channel(grid, paths, scenario.snr_db, _noise_seed(scenario, pair_spec))
+    frame = apply_channel(grid, paths, scenario.snr_db,
+                          seed_words(scenario.seed, "noise", pair_spec.tx, pair_spec.rx))
     est = estimate_channel(frame, grid, user_id=scenario.process_user)
     del frame
     cir = delay_transform(est, window=scenario.delay_window)
@@ -456,24 +451,23 @@ def _run_pair(scenario: Scenario, scene: Scene, grid: ResourceGrid, pair_spec: P
     smap = scattering_map(sf)
     del sf
 
-    map_file = out / f"map_{pair_spec.tx}_{pair_spec.rx}.bin"
+    stem = f"{pair_spec.tx}_{pair_spec.rx}"
+    map_file = out / f"map_{stem}.bin"
     write_map(map_file, smap)
     detections = cfar_detect(suppress_clutter(smap, scenario.notch_half_width_bins),
                              scenario.cfar)
-    det_file = out / f"detections_{pair_spec.tx}_{pair_spec.rx}.csv"
+    det_file = out / f"detections_{stem}.csv"
     write_detections_csv(det_file, pair_spec.pair_id, detections)
     return PairResult(pair=pair_spec, detections=detections, map_file=map_file,
                       detections_file=det_file)
 
 
-def run_scenario(scenario, out_dir=None, seed=None, log=None) -> RunResult:
+def run_scenario(scenario: Scenario, out_dir=None, seed=None, log=None) -> RunResult:
     """Execute a scenario end to end and write its artifacts.
 
-    ``scenario`` may be a Scenario or a path to one. ``seed`` overrides the
-    configured seed, ``out_dir`` the configured output directory.
+    ``seed`` overrides the configured seed, ``out_dir`` the configured output
+    directory.
     """
-    if not isinstance(scenario, Scenario):
-        scenario = load_scenario(scenario)
     if seed is not None:
         if seed < 0:
             raise ScenarioError([f"at $.seed: seed override {seed} must be >= 0"])

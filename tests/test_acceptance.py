@@ -38,7 +38,8 @@ from ofdmpcl import (
     user_subgrid,
 )
 from ofdmpcl.dsp import ChannelEstimate
-from ofdmpcl.scenario import _noise_seed, bundled_scenario_path
+from ofdmpcl.geometry import seed_words
+from ofdmpcl.scenario import bundled_scenario_path
 from oracles import (
     center_zero_frequency,
     direct_unitary_dft_axis1,
@@ -110,7 +111,8 @@ def test_criterion_1_fig4_analog(fig4_run):
             # maximum within +-2 bins of the target delay exceeds the nearby
             # clutter floor (bins 3..10 away) by more than 3 dB
             frame = apply_channel(
-                grid, paths, scenario.snr_db, _noise_seed(scenario, pr.pair)
+                grid, paths, scenario.snr_db,
+                seed_words(scenario.seed, "noise", pr.pair.tx, pr.pair.rx),
             )
             cir = delay_transform(estimate_channel(frame, grid))
             pdp = np.mean(np.abs(cir.h) ** 2, axis=1)

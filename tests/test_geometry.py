@@ -117,6 +117,14 @@ def test_enumerate_is_deterministic():
     assert all(pa.gain == pb.gain for pa, pb in zip(a, b))
 
 
+def test_seeds_that_differ_above_32_bits_draw_different_phases():
+    scene = scene_with(2, 3)
+    pair = scene.pair("tx", "rx")
+    a, b = (enumerate_paths(Scene(nodes=scene.nodes, seed=seed), pair, 3e9)
+            for seed in (1, 2**32 + 1))
+    assert all(pa.gain != pb.gain for pa, pb in zip(a, b))
+
+
 def test_los_exceeds_strongest_target_by_configured_excess():
     scene = scene_with(2, 3)
     scene.los_excess_db = 30.0

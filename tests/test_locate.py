@@ -144,17 +144,6 @@ def test_two_intersecting_ellipses_raise_ambiguous_fix():
     assert best_match < 1e-6
 
 
-def test_explicit_init_skips_grid_search():
-    target = (60.0, 40.0)
-    pairs = [
-        pair_at((0, 0), (100, 0), "a", "b"),
-        pair_at((0, 0), (0, 100), "a", "c"),
-    ]
-    measurements = [exact_measurement(p, target) for p in pairs]
-    estimate = fuse_position(measurements, init=(55.0, 45.0))
-    assert np.linalg.norm(estimate.position - target) < 1e-6
-
-
 def test_monte_carlo_error_consistent_with_covariance():
     rng = np.random.default_rng(314159)
     target = np.array([70.0, 90.0])

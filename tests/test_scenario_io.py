@@ -240,8 +240,8 @@ def test_run_writes_all_artifacts(tmp_path):
     assert manifest["seed"] == 5150
     assert set(manifest["artifacts"]) >= {"map_tx_rx1.bin", "detections_tx_rx1.csv"}
     # the target is found by both sensors
-    for dets in result.detections.values():
-        assert dets and dets[0].snr_db > 10.0
+    for pr in result.pair_results:
+        assert pr.detections and pr.detections[0].snr_db > 10.0
 
 
 def test_run_detects_target_doppler(tmp_path):
@@ -453,12 +453,45 @@ def test_cli_beyond_narrowband_exits_2_without_traceback(tmp_path, capsys):
         ({"name": ["x"]}, "$.name"),
         # a valid density whose draw holds no tile leaves nothing to estimate from
         ({"allocation": {"type": "random", "density": 1e-6, "seed": 1}}, "$.allocation.density"),
+        # ids and the output directory name files
+        ({"nodes": mini_nodes(3, id="bi/ke")}, "$.nodes[3].id"),
+        ({"nodes": mini_nodes(3, id="bi\u0000ke")}, "$.nodes[3].id"),
+        ({"output_dir": "o\u0000ut"}, "$.output_dir"),
     ],
 )
 def test_cli_validate_rejects_what_run_would_reject(tmp_path, capsys, overrides, expected):
     path = write_scenario(tmp_path, mini_scenario(**overrides))
     assert cli_main(["validate", str(path)]) == 2
     assert expected in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [{"nodes": mini_nodes(3, id="bi/ke")}, {"nodes": mini_nodes(3, id="bi\u0000ke")},
+     {"output_dir": "o\u0000ut"}],
+)
+def test_cli_run_rejects_names_that_cannot_be_files(tmp_path, capsys, monkeypatch, overrides):
+    path = write_scenario(tmp_path, mini_scenario(**overrides))
+    monkeypatch.chdir(tmp_path)
+    assert cli_main(["run", str(path)]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_pairs_whose_artifact_names_collide_are_rejected(tmp_path, capsys):
+    # tx -> rx_1 and tx_rx -> 1 would both write map_tx_rx_1.bin
+    nodes = mini_nodes(1, id="rx_1")
+    nodes[2]["id"] = "1"
+    nodes.append({"id": "tx_rx", "kind": "illuminator", "position_m": [0.0, -40.0]})
+    doc = mini_scenario(nodes=nodes, pairs=[{"tx": "tx", "rx": "rx_1"}, {"tx": "tx_rx", "rx": "1"}])
+    path = write_scenario(tmp_path, doc)
+    for argv in (["validate", str(path)], ["run", str(path), "--out", str(tmp_path / "out")]):
+        assert cli_main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: at $.pairs[1]: would overwrite map_tx_rx_1.bin")
+        assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+    doc["pairs"][1] = {"tx": "tx_rx", "rx": "rx_1"}
+    assert cli_main(["validate", str(write_scenario(tmp_path, doc))]) == 0
 
 
 def test_validate_accepts_largest_window_and_notch_that_run(tmp_path):
