@@ -73,16 +73,17 @@ def apply_channel(
     grid: ResourceGrid,
     paths: list[Path],
     noise_snr_db: float | None,
-    rng_seed: int,
+    rng_seed: int | tuple[int, ...],
 ) -> SymbolFrame:
     """Propagate a transmit grid through a multipath channel plus noise.
 
     ``noise_snr_db`` sets complex white Gaussian noise power relative to the
     mean power of the noiseless received signal over allocated elements;
-    ``None`` disables noise. Noise is seeded and added to every element:
-    one M x D standard-normal draw for the real parts, then one for the
-    imaginary parts, each in row-major order. Noise on a grid without an
-    allocated element raises EmptyReference.
+    ``None`` disables noise. Noise is seeded with ``rng_seed``, anything
+    ``np.random.default_rng`` takes (a run passes ``seed_words(seed, "noise",
+    tx, rx)``), and added to every element: one M x D standard-normal draw
+    for the real parts, then one for the imaginary parts, each in row-major
+    order. Noise on a grid without an allocated element raises EmptyReference.
     """
     received = channel_response(grid.numerology, paths)
     for rows, tx in grid.symbol_blocks():

@@ -74,12 +74,10 @@ def main(argv=None) -> int:
                 print(
                     f"pair {pr.pair.pair_id}: {len(pr.detections)} detections; {summary}"
                 )
-            for row in result.positions:
-                hint, x, y, rms, n_pairs = row
-                print(
-                    f"position {hint}: ({x:.2f}, {y:.2f}) m, "
-                    f"rms {rms:.3f} m from {n_pairs} pairs"
-                )
+            for est in result.positions:
+                x, y = est.position
+                print(f"position {result.target_hint}: ({x:.2f}, {y:.2f}) m, "
+                      f"rms {est.residual_rms_m:.3f} m from {est.pairs_used} pairs")
             print(f"artifacts in {result.output_dir}")
             return 0
         if args.command == "heatmap":

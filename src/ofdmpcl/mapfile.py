@@ -136,10 +136,12 @@ def write_detections_csv(path, pair_id: str, detections) -> None:
             )
 
 
-def write_positions_csv(path, rows) -> None:
-    """rows: iterables of (target_hint, x_m, y_m, residual_rms_m, n_pairs)."""
+def write_positions_csv(path, target_hint: str, estimates) -> None:
+    """One row per PositionEstimate, in the given order, labelled ``target_hint``."""
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(POSITION_COLUMNS)
-        for hint, x, y, rms, n_pairs in rows:
-            writer.writerow([hint, _fmt(x), _fmt(y), _fmt(rms), n_pairs])
+        for est in estimates:
+            x, y = est.position
+            writer.writerow([target_hint, _fmt(x), _fmt(y), _fmt(est.residual_rms_m),
+                             est.pairs_used])

@@ -384,7 +384,8 @@ def load_scenario(path) -> Scenario:
     """Parse and validate a scenario file.
 
     Syntax errors are reported with their line and column; schema problems
-    with their JSON path. Bare bundled scenario names are resolved too.
+    with their JSON path; any other file that is not JSON text with its
+    name. Bare bundled scenario names are resolved too.
     """
     path = Path(path)
     if not path.exists() and path.suffix == "" and "/" not in str(path):
@@ -392,15 +393,14 @@ def load_scenario(path) -> Scenario:
         if bundled.exists():
             path = bundled
     try:
-        text = path.read_text()
+        # From bytes, json detects UTF-8, -16 or -32 itself and skips a BOM.
+        data = json.loads(path.read_bytes())
+    except json.JSONDecodeError as exc:
+        raise ScenarioError([f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}"]) from exc
     except OSError as exc:
         raise ScenarioError([f"{path}: {exc.strerror or exc}"]) from exc
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ScenarioError(
-            [f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}"]
-        ) from exc
+    except (ValueError, RecursionError) as exc:  # undecodable bytes, nesting, huge integers
+        raise ScenarioError([f"{path}: not JSON text: {exc}"]) from exc
     return scenario_from_dict(data, name=path.stem)
 
 
@@ -428,7 +428,8 @@ class PairResult:
 class RunResult:
     output_dir: Path
     pair_results: list[PairResult]
-    positions: list  # (target_hint, x, y, residual_rms, n_pairs)
+    target_hint: str  # the single target's id, else "unassociated"
+    positions: list  # locate.PositionEstimate fixes, best first
     positions_file: Path | None
     manifest_file: Path
 
@@ -501,12 +502,14 @@ def run_scenario(scenario: Scenario, out_dir=None, seed=None, log=None) -> RunRe
     pair_results = [_run_pair(scenario, scene, grid, pair_spec, out)
                      for pair_spec in scenario.pairs]
 
+    targets = [n.id for n in scenario.nodes if n.kind == "target"]
+    target_hint = targets[0] if len(targets) == 1 else "unassociated"
     positions = []
     positions_file = None
     if scenario.localization and len(scenario.pairs) >= 2:
         positions_file = out / "positions.csv"
         positions = _localize(scenario, scene, pair_results, log)
-        write_positions_csv(positions_file, positions)
+        write_positions_csv(positions_file, target_hint, positions)
 
     manifest_file = out / "manifest.json"
     artifacts = [pr.map_file.name for pr in pair_results]
@@ -532,17 +535,15 @@ def run_scenario(scenario: Scenario, out_dir=None, seed=None, log=None) -> RunRe
     return RunResult(
         output_dir=out,
         pair_results=pair_results,
+        target_hint=target_hint,
         positions=positions,
         positions_file=positions_file,
         manifest_file=manifest_file,
     )
 
 
-def _localize(scenario: Scenario, scene: Scene, pair_results, log):
-    """Strongest detection per pair -> excess delay -> fused position rows."""
-    targets = [n for n in scenario.nodes if n.kind == "target"]
-    target_hint = targets[0].id if len(targets) == 1 else "unassociated"
-
+def _localize(scenario: Scenario, scene: Scene, pair_results, log) -> list:
+    """Strongest detection per pair -> excess delay -> fused fixes, best first."""
     measurements = []
     for pr in pair_results:
         if not pr.detections:
@@ -569,18 +570,6 @@ def _localize(scenario: Scenario, scene: Scene, pair_results, log):
         return []
 
     try:
-        estimate = fuse_position(measurements)
-        candidates = [estimate]
+        return [fuse_position(measurements)]
     except AmbiguousFix as exc:
-        candidates = exc.estimates
-
-    return [
-        (
-            target_hint,
-            float(est.position[0]),
-            float(est.position[1]),
-            est.residual_rms_m,
-            est.pairs_used,
-        )
-        for est in candidates
-    ]
+        return exc.estimates

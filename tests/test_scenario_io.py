@@ -9,12 +9,14 @@ import pytest
 from ofdmpcl import ScenarioError, UnreadableMap, load_scenario, read_map, run_scenario
 from ofdmpcl.cli import main as cli_main
 from ofdmpcl.dsp import ScatteringMap
+from ofdmpcl.locate import PositionEstimate
 from ofdmpcl.mapfile import (
     DETECTION_COLUMNS,
     MAP_MAGIC,
     POSITION_COLUMNS,
     render_heatmap,
     write_map,
+    write_positions_csv,
 )
 from ofdmpcl.scenario import bundled_scenario_path, scenario_from_dict
 
@@ -201,6 +203,26 @@ def test_malformed_json_reports_line(tmp_path):
     assert "line 3" in excinfo.value.messages[0]
 
 
+@pytest.mark.parametrize(
+    "content",
+    [b'\xff\xfe{"name": 1}', b"[" * 200_000, b'{"seed": 1' + b"0" * 5000],
+    ids=["undecodable", "nested-too-deep", "integer-too-long"],
+)
+def test_cli_file_that_is_not_json_text_exits_2_without_traceback(tmp_path, capsys, content):
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    for argv in (["validate", str(path)], ["run", str(path), "--out", str(tmp_path / "out")]):
+        assert cli_main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ") and "Traceback" not in err
+
+
+def test_scenario_file_with_a_utf8_bom_loads(tmp_path):
+    path = tmp_path / "bom.json"
+    path.write_bytes(b"\xef\xbb\xbf" + json.dumps(mini_scenario()).encode())
+    assert load_scenario(path).name == "mini"
+
+
 def test_validation_rejects_bad_values(tmp_path):
     cases = [
         ({"snr_db": "loud"}, "$.snr_db"),
@@ -269,6 +291,53 @@ def test_zero_target_scenario_gives_empty_detections(tmp_path):
     for pair in ("tx_rx1", "tx_rx2"):
         lines = (tmp_path / "out" / f"detections_{pair}.csv").read_text().splitlines()
         assert lines == [",".join(DETECTION_COLUMNS)]
+
+
+def position_rows(path):
+    with open(path, newline="") as f:
+        return list(csv.reader(f))[1:]
+
+
+def expected_rows(result):
+    return [[result.target_hint, *(repr(float(v)) for v in (*est.position, est.residual_rms_m)),
+             str(est.pairs_used)] for est in result.positions]
+
+
+def test_positions_rows_and_cli_lines_come_from_the_estimates(tmp_path, capsys):
+    # Finer delay bins and a third sensor than mini_scenario(), so that the
+    # target gives one unambiguous fix.
+    doc = mini_scenario(
+        numerology=mini_numerology(subcarrier_spacing_hz=240000.0, cp_fraction=0.5),
+        nodes=[*mini_scenario()["nodes"],
+               {"id": "rx3", "kind": "sensor", "position_m": [60.0, 50.0]}])
+    doc["pairs"].append({"tx": "tx", "rx": "rx3"})
+    path = write_scenario(tmp_path, doc)
+    result = run_scenario(load_scenario(path), out_dir=tmp_path / "a", log=lambda m: None)
+    assert result.target_hint == "bike" and len(result.positions) == 1
+    rows = position_rows(result.positions_file)
+    assert rows == expected_rows(result)
+    assert cli_main(["run", str(path), "--out", str(tmp_path / "b")]) == 0
+    lines = [line for line in capsys.readouterr().out.splitlines()
+             if line.startswith("position ")]
+    assert lines == [f"position bike: ({float(x):.2f}, {float(y):.2f}) m, "
+                     f"rms {float(rms):.3f} m from {n} pairs" for _, x, y, rms, n in rows]
+
+
+def test_ambiguous_fix_writes_both_candidates_best_first(tmp_path):
+    result = run_scenario(load_scenario("fig4_analog"), out_dir=tmp_path, log=lambda m: None)
+    assert len(result.positions) == 2
+    assert result.positions[0].residual_rms_m <= result.positions[1].residual_rms_m
+    assert position_rows(result.positions_file) == expected_rows(result)
+
+
+def test_write_positions_csv_writes_one_row_per_estimate(tmp_path):
+    a = PositionEstimate(np.array([1.5, -2.0]), 0.25, 3, np.eye(2))
+    b = PositionEstimate(np.array([0.1, 40.0]), np.float32(0.5), 2, np.eye(2))
+    path = tmp_path / "positions.csv"
+    write_positions_csv(path, "unassociated", [a, b])
+    assert path.read_bytes() == (b"target_hint,x_m,y_m,residual_rms_m,n_pairs\r\n"
+                                 b"unassociated,1.5,-2.0,0.25,3\r\n"
+                                 b"unassociated,0.1,40.0,0.5,2\r\n")
 
 
 def test_runs_are_byte_reproducible(tmp_path):
