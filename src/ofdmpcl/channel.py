@@ -86,17 +86,25 @@ def apply_channel(
     order. Noise on a grid without an allocated element raises EmptyReference.
     """
     received = channel_response(grid.numerology, paths)
+    # With noise on, the buffer the noise is later drawn into first takes
+    # each block's |received|^2, then packs its allocated values after the
+    # previous blocks': every allocated element in row-major order, as one
+    # contiguous run for np.mean's pairwise sum, whatever the block size.
+    noise = None if noise_snr_db is None else np.empty(received.shape)
+    packed = 0
     for rows, tx in grid.symbol_blocks():
         received[rows] *= tx
+        if noise is not None:
+            power = np.abs(received[rows], out=noise[rows])
+            power *= power
+            allocated = power[grid.codes[rows] >= 0]
+            noise.reshape(-1)[packed : packed + allocated.size] = allocated
+            packed += allocated.size
 
-    if noise_snr_db is not None:
-        allocated = grid.codes >= 0
-        if not np.any(allocated):
+    if noise is not None:
+        if packed == 0:
             raise EmptyReference("cannot calibrate noise on a grid with no allocated element")
-        # |received|^2 goes into the buffer the noise is later drawn into.
-        noise = np.abs(received)
-        noise *= noise
-        signal_power = float(np.mean(noise[allocated]))
+        signal_power = float(np.mean(noise.reshape(-1)[:packed]))
         noise_power = signal_power * 10.0 ** (-noise_snr_db / 10.0)
         rng = np.random.default_rng(rng_seed)
         scale = np.sqrt(noise_power / 2.0)

@@ -82,15 +82,27 @@ class ScatteringMap:
         return self.power.shape[1] // 2
 
 
+def _out_array(out: np.ndarray | None, shape: tuple, dtype) -> np.ndarray:
+    """A new zeroed array, or ``out`` once its shape and dtype match that array's."""
+    if out is None:
+        return np.zeros(shape, dtype=dtype)
+    if out.shape != shape or out.dtype != dtype:
+        raise ValueError(f"out is {out.dtype} {out.shape}, the result is {np.dtype(dtype)} {shape}")
+    return out
+
+
 def estimate_channel(
-    rx: SymbolFrame, ref: ResourceGrid, user_id: str | None = None
+    rx: SymbolFrame, ref: ResourceGrid, user_id: str | None = None,
+    out: np.ndarray | None = None,
 ) -> ChannelEstimate:
     """Symbol-wise inverse filtering of the received frame.
 
-    Divides received by transmitted on every allocated element; for
-    unit-modulus references this equals conjugate multiplication. With
-    ``user_id`` the reference is first restricted to that user's elements
-    (uplink rule: each user's allocation is its own measurement).
+    Divides received by transmitted on every allocated element and zeroes the
+    others; for unit-modulus references this equals conjugate multiplication.
+    With ``user_id`` the reference is first restricted to that user's
+    elements (uplink rule: each user's allocation is its own measurement).
+    ``out``, of the received symbols' shape and dtype, receives the estimate
+    instead of a new array; it may be ``rx.symbols`` itself.
     """
     if user_id is not None:
         ref = user_subgrid(ref, user_id)
@@ -101,43 +113,56 @@ def estimate_channel(
     mask = ref.codes >= 0
     if not np.any(mask):
         raise EmptyReference("reference grid owns no allocated elements")
-    h = np.zeros_like(rx.symbols)
+    h = _out_array(out, rx.symbols.shape, rx.symbols.dtype)
     for rows, tx in ref.symbol_blocks():
         np.divide(rx.symbols[rows], tx, out=h[rows], where=mask[rows])
+        np.copyto(h[rows], 0, where=~mask[rows])
     return ChannelEstimate(h=h, valid_mask=mask, numerology=ref.numerology)
 
 
-def delay_transform(est: ChannelEstimate, window: str = "rect") -> ImpulseResponse:
+def delay_transform(
+    est: ChannelEstimate, window: str = "rect", out: np.ndarray | None = None
+) -> ImpulseResponse:
     """Fast-time transform: per-symbol unitary inverse DFT over carriers.
 
     Unallocated carriers stay zero (zero-filled sparse grid), which is the
-    baseline estimator for partially allocated grids.
+    baseline estimator for partially allocated grids. ``out``, of the
+    estimate's shape and the tapered estimate's dtype, receives the impulse
+    response instead of a new array; it may be ``est.h`` itself.
     """
     m = est.h.shape[0]
-    h = window_vector(window, m)[:, None] * est.h
+    taper = window_vector(window, m)[:, None]
+    h = _out_array(out, est.h.shape, np.result_type(taper, est.h))
+    np.multiply(taper, est.h, out=h)
     np.fft.ifft(h, axis=0, out=h)
     h *= np.sqrt(m)
     return ImpulseResponse(h=h, numerology=est.numerology)
 
 
 def doppler_transform(
-    cir: ImpulseResponse, window: str = "rect", num_symbols: int | None = None
+    cir: ImpulseResponse, window: str = "rect", num_symbols: int | None = None,
+    out: np.ndarray | None = None,
 ) -> SpreadingFunction:
     """Slow-time DFT filter bank over the first ``num_symbols`` symbols.
 
-    Output columns span (-D/2 .. D/2 - 1) * doppler_bin_hz after the shift,
-    so static paths land in the center column. Rows go through one small
+    ``num_symbols`` defaults to every symbol and must lie in 2..D. Output
+    columns span (-D/2 .. D/2 - 1) * doppler_bin_hz after the shift, so
+    static paths land in the center column. Rows go through one small
     buffer in blocks, and each block's spectrum is written straight into its
     shifted columns, so neither a tapered copy nor the unshifted spectrum
-    exists at full size.
+    exists at full size. ``out``, of shape (rows, ``num_symbols``) and the
+    tapered response's dtype, receives the spectrum instead of a new array;
+    it may be ``cir.h[:, :num_symbols]`` itself, because a block's rows are
+    read in full before its spectrum is written back to them.
     """
-    h = cir.h[:, :num_symbols]
-    m, d = h.shape
-    if d < 2:
-        raise ValueError("Doppler transform needs at least 2 symbols")
+    m, total = cir.h.shape
+    d = total if num_symbols is None else num_symbols
+    if not 2 <= d <= total:
+        raise ValueError(f"Doppler transform needs 2 to {total} symbols, got {d}")
+    h = cir.h[:, :d]
     taper = window_vector(window, d)
     dtype = np.result_type(taper, h)
-    s = np.empty((m, d), dtype=dtype)
+    s = _out_array(out, (m, d), dtype)
     # At most 1/16 of the map's rows, so the buffer stays small on short maps.
     block_rows = min(_DOPPLER_BLOCK_ROWS, max(1, m // 16))
     block = np.empty((block_rows, d), dtype=dtype)

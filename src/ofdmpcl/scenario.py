@@ -437,17 +437,22 @@ class RunResult:
 def _run_pair(scenario: Scenario, scene: Scene, grid: ResourceGrid, pair_spec: PairSpec,
               out: Path) -> PairResult:
     """One Tx/Rx pair through the chain, writing its map and detection CSV.
-    Each stage's input is released as soon as the next stage returns."""
+
+    The frame that apply_channel returns is the pair's one complex working
+    grid: the estimate, the impulse response and the spreading function each
+    overwrite it in place. Each stage's input, and each map once the next
+    one exists, is released as soon as the next stage returns."""
     pair = scene.pair(pair_spec.tx, pair_spec.rx)
     paths = enumerate_paths(scene, pair, scenario.numerology.carrier_frequency_hz)
     frame = apply_channel(grid, paths, scenario.snr_db,
                           seed_words(scenario.seed, "noise", pair_spec.tx, pair_spec.rx))
-    est = estimate_channel(frame, grid, user_id=scenario.process_user)
+    est = estimate_channel(frame, grid, user_id=scenario.process_user, out=frame.symbols)
     del frame
-    cir = delay_transform(est, window=scenario.delay_window)
+    cir = delay_transform(est, window=scenario.delay_window, out=est.h)
     del est
-    sf = doppler_transform(cir, window=scenario.doppler_window,
-                           num_symbols=scenario.doppler_window_symbols)
+    num_symbols = scenario.doppler_window_symbols
+    sf = doppler_transform(cir, window=scenario.doppler_window, num_symbols=num_symbols,
+                           out=cir.h[:, :num_symbols])
     del cir
     smap = scattering_map(sf)
     del sf
@@ -455,8 +460,9 @@ def _run_pair(scenario: Scenario, scene: Scene, grid: ResourceGrid, pair_spec: P
     stem = f"{pair_spec.tx}_{pair_spec.rx}"
     map_file = out / f"map_{stem}.bin"
     write_map(map_file, smap)
-    detections = cfar_detect(suppress_clutter(smap, scenario.notch_half_width_bins),
-                             scenario.cfar)
+    notched = suppress_clutter(smap, scenario.notch_half_width_bins)
+    del smap
+    detections = cfar_detect(notched, scenario.cfar)
     det_file = out / f"detections_{stem}.csv"
     write_detections_csv(det_file, pair_spec.pair_id, detections)
     return PairResult(pair=pair_spec, detections=detections, map_file=map_file,

@@ -179,6 +179,16 @@ def test_doppler_window_slices_leading_symbols():
     assert doppler_bin == 7 + 1
 
 
+@pytest.mark.parametrize("num_symbols", [-1, 0, 1, NUM.symbols_per_frame + 1])
+def test_doppler_window_outside_2_to_d_symbols_raises(num_symbols):
+    grid, frame = single_path_frame()
+    cir = delay_transform(estimate_channel(frame, grid))
+    with pytest.raises(ValueError, match="Doppler transform needs 2 to 28 symbols"):
+        doppler_transform(cir, num_symbols=num_symbols)
+    for num_symbols in (2, NUM.symbols_per_frame):
+        assert doppler_transform(cir, num_symbols=num_symbols).s.shape[1] == num_symbols
+
+
 def test_transforms_preserve_energy_with_rect_window():
     rng = np.random.default_rng(8)
     h = rng.standard_normal((60, 28)) + 1j * rng.standard_normal((60, 28))
