@@ -15,17 +15,24 @@ start t0 rotates each gain by exp(j 2 pi doppler t0).
 
 from __future__ import annotations
 
+import mmap
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DelayExceedsCp, DopplerExceedsNarrowband, EmptyReference
 from .geometry import Path
-from .grid import Numerology, ResourceGrid
+from .grid import _BLOCK_ROWS, Numerology, ResourceGrid
 
 # Upper bound on |doppler| * symbol duration for the per-symbol constant
 # phase approximation.
 MAX_DOPPLER_SYMBOL_PRODUCT = 0.1
+
+# Working grids of at least this many bytes get their own memory map; numpy
+# asks for huge pages from the same size on.
+_MAP_MIN_BYTES = 1 << 22
+# Private pages where the platform has the flag; Windows maps them privately.
+_MAP_OPTIONS = {"flags": mmap.MAP_PRIVATE} if hasattr(mmap, "MAP_PRIVATE") else {}
 
 
 @dataclass
@@ -47,11 +54,31 @@ def check_path(numerology: Numerology, delay_s: float, doppler_hz: float) -> Non
             f"for symbol duration {numerology.symbol_duration_s:.2e} s")
 
 
+def _working_grid(rows: int, cols: int) -> np.ndarray:
+    """An uninitialised complex128 array for a pair's working grid.
+
+    From _MAP_MIN_BYTES on it lives in its own anonymous memory map, which
+    goes back to the OS when the array is released. malloc serves such grids
+    from its heap once a freed one has raised glibc's mmap threshold, and
+    the benchmark's peak RSS then moved by 7 MB with the heap's layout
+    between runs of the same code. tracemalloc does not see the map. A
+    smaller grid comes from numpy: faulting in fresh pages for each pair
+    cost 6% of a 600 x 140 op.
+    """
+    if rows * cols * 16 < _MAP_MIN_BYTES:
+        return np.empty((rows, cols), dtype=np.complex128)
+    buffer = mmap.mmap(-1, rows * cols * 16, **_MAP_OPTIONS)
+    if hasattr(mmap, "MADV_HUGEPAGE"):  # as numpy asks for its own large arrays
+        buffer.madvise(mmap.MADV_HUGEPAGE)
+    return np.frombuffer(buffer, dtype=np.complex128).reshape(rows, cols)
+
+
 def channel_response(numerology: Numerology, paths: list[Path]) -> np.ndarray:
     """Per-element channel transfer factor, summed over paths.
 
     Row m sees baseband carrier frequency m * subcarrier_spacing; column d
-    is evaluated at the symbol start time d * symbol_duration.
+    is evaluated at the symbol start time d * symbol_duration. The result
+    is a pair's working grid (_working_grid).
     """
     m = numerology.num_carriers
     d = numerology.symbols_per_frame
@@ -66,7 +93,53 @@ def channel_response(numerology: Numerology, paths: list[Path]) -> np.ndarray:
     gains = np.array([path.gain for path in paths], dtype=np.complex128)
     delay_ramps = np.exp(-2j * np.pi * carrier_hz[:, None] * delays) * gains
     doppler_ramps = np.exp(2j * np.pi * dopplers[:, None] * symbol_times)
-    return delay_ramps @ doppler_ramps
+    return np.matmul(delay_ramps, doppler_ramps, out=_working_grid(m, d))
+
+
+# Most values per leaf of _streamed_mean: one leaf buffer of them stays small.
+_SUM_LEAF = 4096
+
+
+def _pairwise(n: int, leaf):
+    """numpy's pairwise split of n values: halve at ``n // 2`` rounded down
+    to a multiple of 8 until a part holds at most _SUM_LEAF values, call
+    ``leaf(size)`` on each part in order, and add the results up the tree."""
+    if n <= _SUM_LEAF:
+        return leaf(n)
+    half = n // 2 - (n // 2) % 8
+    return _pairwise(half, leaf) + _pairwise(n - half, leaf)
+
+
+def _streamed_mean(chunks, n: int) -> float:
+    """``np.mean`` of the n >= 1 float64 values that the 1-D arrays in
+    ``chunks`` hold in turn, bit for bit: each leaf of _pairwise is gathered
+    in one small buffer and summed by ``np.add.reduce``, which splits it on
+    as np.mean would, and the leaf sums are added up the same tree."""
+    sizes = _pairwise(n, lambda size: [size])
+    leaf = np.empty(max(sizes))
+    sums, filled = [], 0
+    for chunk in chunks:
+        while chunk.size:
+            take = min(sizes[len(sums)] - filled, chunk.size)
+            leaf[filled : filled + take] = chunk[:take]
+            filled += take
+            chunk = chunk[take:]
+            if filled == sizes[len(sums)]:
+                sums.append(np.add.reduce(leaf[:filled]))
+                filled = 0
+    leaf_sums = iter(sums)
+    return float(_pairwise(n, lambda size: next(leaf_sums)) / n)
+
+
+def _allocated_power(received: np.ndarray, grid: ResourceGrid):
+    """Multiply each block of rows by its transmit symbols, in place, and
+    yield the block's allocated |received|^2 in row-major order."""
+    for rows, tx in grid.symbol_blocks():
+        block = received[rows]
+        block *= tx
+        power = np.abs(block)
+        power *= power
+        yield power[grid.codes[rows] >= 0]
 
 
 def apply_channel(
@@ -81,36 +154,33 @@ def apply_channel(
     mean power of the noiseless received signal over allocated elements;
     ``None`` disables noise. Noise is seeded with ``rng_seed``, anything
     ``np.random.default_rng`` takes (a run passes ``seed_words(seed, "noise",
-    tx, rx)``), and added to every element: one M x D standard-normal draw
+    tx, rx)``), and added to every element: one M x D standard-normal stream
     for the real parts, then one for the imaginary parts, each in row-major
-    order. Noise on a grid without an allocated element raises EmptyReference.
+    order. Both the calibration and the noise go through the grid a block of
+    rows at a time, so the received grid is the only full-size array. Noise
+    on a grid without an allocated element raises EmptyReference.
     """
     received = channel_response(grid.numerology, paths)
-    # With noise on, the buffer the noise is later drawn into first takes
-    # each block's |received|^2, then packs its allocated values after the
-    # previous blocks': every allocated element in row-major order, as one
-    # contiguous run for np.mean's pairwise sum, whatever the block size.
-    noise = None if noise_snr_db is None else np.empty(received.shape)
-    packed = 0
-    for rows, tx in grid.symbol_blocks():
-        received[rows] *= tx
-        if noise is not None:
-            power = np.abs(received[rows], out=noise[rows])
-            power *= power
-            allocated = power[grid.codes[rows] >= 0]
-            noise.reshape(-1)[packed : packed + allocated.size] = allocated
-            packed += allocated.size
+    if noise_snr_db is None:
+        for rows, tx in grid.symbol_blocks():
+            received[rows] *= tx
+        return SymbolFrame(symbols=received, numerology=grid.numerology)
 
-    if noise is not None:
-        if packed == 0:
-            raise EmptyReference("cannot calibrate noise on a grid with no allocated element")
-        signal_power = float(np.mean(noise.reshape(-1)[:packed]))
-        noise_power = signal_power * 10.0 ** (-noise_snr_db / 10.0)
-        rng = np.random.default_rng(rng_seed)
-        scale = np.sqrt(noise_power / 2.0)
-        for part in (received.real, received.imag):
+    allocated = int(np.count_nonzero(grid.codes >= 0))
+    if allocated == 0:
+        raise EmptyReference("cannot calibrate noise on a grid with no allocated element")
+    signal_power = _streamed_mean(_allocated_power(received, grid), allocated)
+    noise_power = signal_power * 10.0 ** (-noise_snr_db / 10.0)
+    rng = np.random.default_rng(rng_seed)
+    scale = np.sqrt(noise_power / 2.0)
+    # A generator's draws into consecutive blocks are its one-shot draw.
+    block = np.empty((_BLOCK_ROWS, received.shape[1]))
+    for part in (received.real, received.imag):
+        for r0 in range(0, len(part), _BLOCK_ROWS):
+            target = part[r0 : r0 + _BLOCK_ROWS]
+            noise = block[: len(target)]
             rng.standard_normal(out=noise)
             noise *= scale
-            part += noise
+            target += noise
 
     return SymbolFrame(symbols=received, numerology=grid.numerology)

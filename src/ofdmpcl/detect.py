@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dsp import ScatteringMap
+from .dsp import ScatteringMap, _out_array
 from .errors import MapTooSmall, NotchTooWide
 
 
@@ -73,8 +73,14 @@ class Detection:
     snr_db: float
 
 
-def suppress_clutter(smap: ScatteringMap, notch_half_width: int) -> ScatteringMap:
-    """Zero Doppler columns within +/- notch_half_width of zero Doppler."""
+def suppress_clutter(
+    smap: ScatteringMap, notch_half_width: int, out: np.ndarray | None = None
+) -> ScatteringMap:
+    """Zero Doppler columns within +/- notch_half_width of zero Doppler.
+
+    ``out``, of the map's shape and dtype, receives the notched map instead
+    of a new array; it may be ``smap.power`` itself.
+    """
     if notch_half_width < 0:
         raise ValueError("notch half width must be non-negative")
     num_doppler = smap.power.shape[1]
@@ -85,7 +91,8 @@ def suppress_clutter(smap: ScatteringMap, notch_half_width: int) -> ScatteringMa
             f"{num_doppler} Doppler bins"
         )
     center = smap.zero_doppler_bin
-    power = smap.power.copy()
+    power = _out_array(out, smap.power.shape, smap.power.dtype)
+    np.copyto(power, smap.power)
     power[:, center - notch_half_width : center + notch_half_width + 1] = 0.0
     return ScatteringMap(
         power=power,
@@ -94,9 +101,9 @@ def suppress_clutter(smap: ScatteringMap, notch_half_width: int) -> ScatteringMa
     )
 
 
-# Maxima per gather pass. On noise about one cell in nine is a maximum, so a
-# block spans roughly 0.6 MB of map and its 4 * train_cells gathers stay in
-# cache instead of each streaming the whole map.
+# About this many local maxima per block of rows: on noise about one cell in
+# nine is a maximum, so a block spans roughly 0.6 MB of map and its
+# 4 * train_cells gathers stay in cache instead of each streaming the map.
 _GATHER_BLOCK = 8192
 
 
@@ -116,7 +123,9 @@ def cfar_detect(smap: ScatteringMap, cfg: CfarConfig) -> list[Detection]:
     A cell is declared a detection when it is a local maximum and exceeds
     threshold_factor times the mean of its cross-shaped training region.
     Detections carry 3-point parabolic sub-bin refinement per axis and are
-    sorted by descending peak power.
+    sorted by descending peak power. The map is read a block of rows at a
+    time through one small buffer that holds the block with its wrapped
+    rows and columns on every side, so no padded copy of the map exists.
     """
     power = smap.power
     num_delay, num_doppler = power.shape
@@ -125,39 +134,54 @@ def cfar_detect(smap: ScatteringMap, cfg: CfarConfig) -> list[Detection]:
             f"map {power.shape} does not exceed the {cfg.window}x{cfg.window} CFAR window"
         )
     reach = cfg.guard_cells + cfg.train_cells
-    padded = np.pad(power, reach, mode="wrap")
-    width = padded.shape[1]
-
-    # 8-neighbour maxima; plateau ties go to the cell with the lower delay
-    # bin, then the lower Doppler bin.
-    peaks = power > 0
-    for di in (-1, 0, 1):
-        for dj in (-1, 0, 1):
-            if (di, dj) != (0, 0):
-                neighbor = padded[reach + di : reach + di + num_delay,
-                                  reach + dj : reach + dj + num_doppler]
-                peaks &= power > neighbor if (di, dj) < (0, 0) else power >= neighbor
-    rows, cols = np.divmod(np.flatnonzero(peaks), num_doppler)
-
-    # Training sums at the maxima, the arms added in a fixed order: delay
-    # axis, then Doppler axis, each -off cell before its +off cell.
-    flat = padded.ravel()
-    center = (rows + reach) * width + (cols + reach)
+    width = num_doppler + 2 * reach
+    # At most a quarter of the map's rows: the buffer stays small beside a
+    # short map, and the calls per block stay few.
+    block_rows = max(1, min(9 * _GATHER_BLOCK // num_doppler, num_delay // 4))
+    buf = np.empty((block_rows + 2 * reach, width), dtype=power.dtype)
     arms = [sign * off * stride for stride in (width, 1)
             for off in range(cfg.guard_cells + 1, reach + 1) for sign in (-1, 1)]
-    total = np.zeros(center.size, dtype=power.dtype)
-    for start in range(0, center.size, _GATHER_BLOCK):
-        block = center[start : start + _GATHER_BLOCK]
-        block_total = total[start : start + _GATHER_BLOCK]  # a view into total
-        for arm in arms:
-            block_total += flat[block + arm]
-    noise_mean = total / cfg.num_training
-    p0 = flat[center]
-    hit = p0 > cfg.threshold_factor * noise_mean
-    rows, cols, center, p0, noise = rows[hit], cols[hit], center[hit], p0[hit], noise_mean[hit]
+    found = []
+    for r0 in range(0, num_delay, block_rows):
+        n = min(block_rows, num_delay - r0)
+        window = buf[: n + 2 * reach]
+        # window[i, j] is power[(r0 - reach + i) % num_delay, (j - reach) % num_doppler].
+        row, filled = (r0 - reach) % num_delay, 0
+        while filled < len(window):
+            take = min(len(window) - filled, num_delay - row)
+            window[filled : filled + take, reach : reach + num_doppler] = power[row : row + take]
+            row, filled = 0, filled + take
+        window[:, :reach] = window[:, num_doppler : num_doppler + reach]
+        window[:, reach + num_doppler :] = window[:, reach : 2 * reach]
 
-    d_delay = _parabolic_offset(flat[center - width], p0, flat[center + width])
-    d_doppler = _parabolic_offset(flat[center - 1], p0, flat[center + 1])
+        # 8-neighbour maxima; plateau ties go to the cell with the lower delay
+        # bin, then the lower Doppler bin.
+        core = window[reach : reach + n, reach : reach + num_doppler]
+        peaks = core > 0
+        for di in (-1, 0, 1):
+            for dj in (-1, 0, 1):
+                if (di, dj) != (0, 0):
+                    neighbor = window[reach + di : reach + di + n,
+                                      reach + dj : reach + dj + num_doppler]
+                    peaks &= core > neighbor if (di, dj) < (0, 0) else core >= neighbor
+        rows, cols = np.divmod(np.flatnonzero(peaks), num_doppler)
+
+        # Training sums at the maxima, the arms added in a fixed order: delay
+        # axis, then Doppler axis, each -off cell before its +off cell.
+        flat = window.reshape(-1)
+        center = (rows + reach) * width + (cols + reach)
+        total = np.zeros(center.size, dtype=power.dtype)
+        for arm in arms:
+            total += flat[center + arm]
+        noise_mean = total / cfg.num_training
+        p0 = flat[center]
+        hit = p0 > cfg.threshold_factor * noise_mean
+        center, p0 = center[hit], p0[hit]
+        found.append((rows[hit] + r0, cols[hit], p0, noise_mean[hit],
+                      _parabolic_offset(flat[center - width], p0, flat[center + width]),
+                      _parabolic_offset(flat[center - 1], p0, flat[center + 1])))
+    rows, cols, p0, noise, d_delay, d_doppler = (np.concatenate(c) for c in zip(*found))
+
     snr_db = np.full(p0.size, np.inf)
     snr_db[noise > 0] = 10.0 * np.log10(p0[noise > 0] / noise[noise > 0])
     delay_s = (rows + d_delay) * smap.delay_bin_s

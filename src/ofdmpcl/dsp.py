@@ -23,8 +23,9 @@ from .errors import DimensionMismatch, EmptyReference
 from .geometry import SPEED_OF_LIGHT
 from .grid import Numerology, ResourceGrid, user_subgrid
 
-# Most rows per block of the slow-time transform: small enough that the block
-# buffer stays in cache, large enough to amortize the per-call overhead.
+# Most rows per block of the slow-time transform and the map: small enough
+# that the block buffer stays in cache, large enough to amortize the per-call
+# overhead.
 _DOPPLER_BLOCK_ROWS = 64
 
 # "rect" is float32 ones: 1.0 is exact in every float type, and float32 never
@@ -80,6 +81,12 @@ class ScatteringMap:
     @property
     def zero_doppler_bin(self) -> int:
         return self.power.shape[1] // 2
+
+
+def _block_rows(m: int) -> int:
+    """Rows per block of a pass over m rows: at most 1/16 of them, so the
+    block buffer stays small on short maps."""
+    return min(_DOPPLER_BLOCK_ROWS, max(1, m // 16))
 
 
 def _out_array(out: np.ndarray | None, shape: tuple, dtype) -> np.ndarray:
@@ -163,18 +170,18 @@ def doppler_transform(
     taper = window_vector(window, d)
     dtype = np.result_type(taper, h)
     s = _out_array(out, (m, d), dtype)
-    # At most 1/16 of the map's rows, so the buffer stays small on short maps.
-    block_rows = min(_DOPPLER_BLOCK_ROWS, max(1, m // 16))
+    block_rows = _block_rows(m)
     block = np.empty((block_rows, d), dtype=dtype)
-    scale = np.sqrt(d)
+    # numpy divides complex by real as x * (1 / s), so this is x / sqrt(d) bitwise.
+    scale = 1.0 / np.sqrt(d)
     neg = d // 2  # fftshift moves spectrum column k to (k + neg) % d
     for r0 in range(0, m, block_rows):
         rows = slice(r0, min(r0 + block_rows, m))
         buf = block[: rows.stop - r0]
         np.multiply(taper, h[rows], out=buf)
         np.fft.fft(buf, axis=1, out=buf)
-        np.divide(buf[:, : d - neg], scale, out=s[rows, neg:])
-        np.divide(buf[:, d - neg :], scale, out=s[rows, :neg])
+        np.multiply(buf[:, : d - neg], scale, out=s[rows, neg:])
+        np.multiply(buf[:, d - neg :], scale, out=s[rows, :neg])
     return SpreadingFunction(
         s=s,
         delay_bin_s=cir.numerology.delay_bin_s,
@@ -182,10 +189,26 @@ def doppler_transform(
     )
 
 
-def scattering_map(sf: SpreadingFunction) -> ScatteringMap:
-    """Element-wise squared magnitude of the spreading function."""
-    power = np.abs(sf.s)
-    power *= power
+def scattering_map(sf: SpreadingFunction, out: np.ndarray | None = None) -> ScatteringMap:
+    """Element-wise squared magnitude of the spreading function.
+
+    Rows go through one small buffer in blocks. ``out``, of the spectrum's
+    shape and real dtype, receives the map instead of a new array. It may
+    share the spectrum's memory as long as no block's values land on the
+    rows of a later block, because a block is read in full before its
+    values are written. The float view over the first M * D floats of a
+    contiguous complex grid whose leading D columns are ``sf.s`` is such an
+    array.
+    """
+    s = sf.s
+    m = s.shape[0]
+    power = _out_array(out, s.shape, s.real.dtype)
+    block = np.empty((_block_rows(m), s.shape[1]), dtype=power.dtype)
+    for r0 in range(0, m, len(block)):
+        rows = slice(r0, r0 + len(block))
+        buf = block[: len(power[rows])]
+        np.abs(s[rows], out=buf)
+        np.multiply(buf, buf, out=power[rows])
     return ScatteringMap(
         power=power,
         delay_bin_s=sf.delay_bin_s,

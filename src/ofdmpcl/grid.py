@@ -165,10 +165,15 @@ def build_grid(numerology: Numerology, allocations, rng_seed: int) -> ResourceGr
     prbs[:, :, :slots.shape[1]] = slots[:, None, :]
 
     # Draw int64 codes (a narrower draw is another stream) for the whole grid,
-    # so co-located elements do not depend on the surrounding tiles; blank the rest.
+    # so co-located elements do not depend on the surrounding tiles; blank the
+    # rest. Each value of range 4 takes one 32-bit half of a 64-bit output, so
+    # blocks of 64 rows, an even number of values each, draw the one-shot stream.
     rng = np.random.default_rng(rng_seed)
-    codes = rng.integers(0, 4, size=shape).astype(np.int8)
-    codes[owner < 0] = -1
+    codes = np.empty(shape, dtype=np.int8)
+    for r0 in range(0, shape[0], _BLOCK_ROWS):
+        rows = slice(r0, r0 + _BLOCK_ROWS)
+        codes[rows] = rng.integers(0, 4, size=codes[rows].shape)
+        codes[rows][owner[rows] < 0] = -1
     return ResourceGrid(numerology=numerology, codes=codes, owner=owner, users=users)
 
 

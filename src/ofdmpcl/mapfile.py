@@ -24,6 +24,7 @@ from .errors import UnreadableMap
 
 MAP_MAGIC = b"CPCLMAP1"
 MAP_HEADER_BYTES = 64
+_WRITE_BLOCK_ROWS = 64
 
 DETECTION_COLUMNS = [
     "pair_id",
@@ -44,10 +45,11 @@ def write_map(path, smap: ScatteringMap) -> None:
         "<4d", float(m), float(d), smap.delay_bin_s, smap.doppler_bin_hz
     )
     header += b"\x00" * (MAP_HEADER_BYTES - len(header))
-    data = np.ascontiguousarray(smap.power, dtype="<f4")
     with open(path, "wb") as f:
         f.write(header)
-        data.tofile(f)
+        # float32 a block of rows at a time, so no full-size copy exists
+        for r0 in range(0, m, _WRITE_BLOCK_ROWS):
+            f.write(smap.power[r0 : r0 + _WRITE_BLOCK_ROWS].astype("<f4"))
 
 
 def read_map(path) -> ScatteringMap:

@@ -440,13 +440,15 @@ def _run_pair(scenario: Scenario, scene: Scene, grid: ResourceGrid, pair_spec: P
 
     The frame that apply_channel returns is the pair's one complex working
     grid: the estimate, the impulse response and the spreading function each
-    overwrite it in place. Each stage's input, and each map once the next
-    one exists, is released as soon as the next stage returns."""
+    overwrite it in place, the map fills its first M * D floats, and the
+    notch zeroes that map in place. Each stage's input is released as soon
+    as the next stage returns."""
     pair = scene.pair(pair_spec.tx, pair_spec.rx)
     paths = enumerate_paths(scene, pair, scenario.numerology.carrier_frequency_hz)
     frame = apply_channel(grid, paths, scenario.snr_db,
                           seed_words(scenario.seed, "noise", pair_spec.tx, pair_spec.rx))
-    est = estimate_channel(frame, grid, user_id=scenario.process_user, out=frame.symbols)
+    work = frame.symbols
+    est = estimate_channel(frame, grid, user_id=scenario.process_user, out=work)
     del frame
     cir = delay_transform(est, window=scenario.delay_window, out=est.h)
     del est
@@ -454,19 +456,30 @@ def _run_pair(scenario: Scenario, scene: Scene, grid: ResourceGrid, pair_spec: P
     sf = doppler_transform(cir, window=scenario.doppler_window, num_symbols=num_symbols,
                            out=cir.h[:, :num_symbols])
     del cir
-    smap = scattering_map(sf)
+    # Block by block, the map's floats land on complex elements already read.
+    m, d = sf.s.shape
+    smap = scattering_map(sf, out=work.view(np.float64).reshape(-1)[: m * d].reshape(m, d))
     del sf
 
     stem = f"{pair_spec.tx}_{pair_spec.rx}"
     map_file = out / f"map_{stem}.bin"
     write_map(map_file, smap)
-    notched = suppress_clutter(smap, scenario.notch_half_width_bins)
+    notched = suppress_clutter(smap, scenario.notch_half_width_bins, out=smap.power)
     del smap
     detections = cfar_detect(notched, scenario.cfar)
     det_file = out / f"detections_{stem}.csv"
     write_detections_csv(det_file, pair_spec.pair_id, detections)
     return PairResult(pair=pair_spec, detections=detections, map_file=map_file,
                       detections_file=det_file)
+
+
+def _sha256(path) -> str:
+    """Hex SHA-256 of a file, read in 64 KiB chunks rather than whole."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as f:
+        for chunk in iter(lambda: f.read(1 << 16), b""):
+            digest.update(chunk)
+    return digest.hexdigest()
 
 
 def run_scenario(scenario: Scenario, out_dir=None, seed=None, log=None) -> RunResult:
@@ -531,7 +544,7 @@ def run_scenario(scenario: Scenario, out_dir=None, seed=None, log=None) -> RunRe
             "python": sys.version.split()[0],
         },
         "artifacts": {
-            name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+            name: _sha256(out / name)
             for name in artifacts
         },
         "created_utc": datetime.datetime.now(datetime.timezone.utc).isoformat(),

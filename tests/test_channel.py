@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from ofdmpcl import (
     full_allocation,
     random_allocation,
 )
+from ofdmpcl import channel
 from oracles import channel_response_sum, time_domain_receive
 
 NUM = Numerology(num_carriers=72, symbols_per_frame=28)
@@ -196,3 +199,48 @@ def test_noisy_frame_matches_the_masked_mean_calibration():
     received.real += rng.standard_normal(received.shape) * scale
     received.imag += rng.standard_normal(received.shape) * scale
     assert np.array_equal(frame.symbols, received)
+
+
+@pytest.mark.parametrize("leaf", [4096, 200, 65536])
+def test_streamed_mean_is_np_mean_bitwise(leaf, monkeypatch):
+    """The calibration mean, summed leaf by leaf from chunks, is np.mean of
+    the joined values, around every leaf boundary and up to 2e6 values.
+
+    It follows numpy's own pairwise split, so a numpy that splits elsewhere
+    fails here; 200 and 65536 are leaf sizes other than the module's, run on
+    up to 64 leaves.
+    """
+    assert channel._SUM_LEAF == 4096
+    monkeypatch.setattr(channel, "_SUM_LEAF", leaf)
+    most = 2_000_000 if leaf == 4096 else min(2_000_000, 64 * leaf)
+    rng = np.random.default_rng(leaf)
+    values = rng.exponential(size=most) * 10.0 ** rng.uniform(-6.0, 6.0, most)
+    # Chunks of 1 to 3 * leaf values, so they straddle the leaves in every way.
+    cuts = np.cumsum(rng.integers(1, 3 * leaf, most // leaf))
+    sizes = {1, 7, 8, 9, 127, 128, 129, most - 1, most}
+    for k in range(most.bit_length()):
+        if leaf << k <= most:
+            sizes |= {(leaf << k) + delta for delta in (-9, -8, -1, 0, 1, 8, 9, 17)}
+    for n in sorted(n for n in sizes if n <= most):
+        x = values[:n]
+        chunks = np.split(x, cuts[cuts < n])
+        assert channel._streamed_mean(chunks, n) == np.mean(x), n
+
+
+def test_large_working_grids_live_in_their_own_memory_map(monkeypatch):
+    """From 4 MiB on, channel_response's grid is an anonymous memory map,
+    which tracemalloc does not see; smaller grids come from numpy. Both hold
+    the same bits."""
+    paths = [path(gain=0.7 - 0.1j), path(3e-7, 150.0, 0.2 + 0.1j)]
+    for carriers, mapped in ((2400, True), (600, False)):  # 5.4 MB and 1.3 MB
+        num = Numerology(num_carriers=carriers, symbols_per_frame=140)
+        tracemalloc.start()
+        try:
+            h = channel_response(num, paths)
+            traced = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert (traced < h.nbytes) == mapped
+        with monkeypatch.context() as m:
+            m.setattr(channel, "_MAP_MIN_BYTES", np.inf)
+            assert channel_response(num, paths).tobytes() == h.tobytes()

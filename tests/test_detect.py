@@ -230,6 +230,32 @@ def test_cfar_matches_literal_oracle(train, guard, pfa, shape, gather_block, mon
     )
 
 
+def test_cfar_blocks_match_literal_oracle_across_block_boundaries(monkeypatch):
+    """150 rows in blocks of 7: the last block is partial, and peaks sit on
+    both sides of block boundaries and on both wrap edges of each axis."""
+    # A block holds max(1, min(9 * _GATHER_BLOCK // D, M // 4)) rows.
+    monkeypatch.setattr(detect, "_GATHER_BLOCK", 40)
+    rows, cols = 150, 48
+    assert max(1, min(9 * 40 // cols, rows // 4)) == 7 and rows % 7 == 3
+    power = oracle_map((rows, cols), seed=5)
+    # oracle_map puts peaks at (0, 5), (75, 47) and (149, 0).
+    for row, col, value in [(6, 10, 70.0), (7, 20, 65.0), (13, 30, 55.0), (14, 40, 52.0),
+                            (146, 12, 48.0), (147, 22, 44.0), (149, 34, 40.0), (0, 40, 38.0)]:
+        power[row, col] = value
+    got = cfar_detect(synthetic_map(power), CfarConfig(train_cells=8, guard_cells=2, pfa=1e-3))
+    want = ca_cfar_literal(power, 8, 2, 1e-3, delay_bin_s=1e-8, doppler_bin_hz=100.0)
+    bins = [(d.delay_bin, d.doppler_bin) for d in got]
+    assert bins == [row[:2] for row in want]
+    assert {(0, 5), (75, 47), (149, 0), (6, 10), (7, 20), (13, 30), (14, 40), (146, 12),
+            (147, 22), (149, 34), (0, 40)} <= set(bins)
+    fields = ("refined_delay_s", "refined_doppler_hz", "peak_power", "snr_db")
+    np.testing.assert_allclose(
+        [[getattr(d, f) for f in fields] for d in got],
+        [row[2:] for row in want],
+        rtol=1e-12,
+    )
+
+
 def test_detection_fields_are_plain_python_numbers():
     rng = np.random.default_rng(9)
     power = rng.exponential(size=(48, 40)).astype(np.float32)

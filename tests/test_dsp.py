@@ -376,3 +376,17 @@ def test_transforms_equal_their_literal_formulation_bitwise(window, dtype):
             assert np.array_equal(sf.s, expected)
             if window == "rect":
                 assert sf.s.dtype == cir.h.dtype == dtype
+
+
+@pytest.mark.parametrize("d", [2, 3, 137, 140, 560])
+@pytest.mark.parametrize("dtype, decades", [(np.complex128, 300), (np.complex64, 30)])
+def test_scaling_by_the_reciprocal_root_is_the_division_bitwise(d, dtype, decades):
+    """doppler_transform multiplies by 1 / sqrt(D); numpy's complex-by-real
+    division is x * (1 / s), so that is x / sqrt(D) bit for bit."""
+    rng = np.random.default_rng(d)
+    parts = rng.choice([-1.0, 1.0], (2, 64, d)) * 10.0 ** rng.uniform(-decades, decades, (2, 64, d))
+    x = (parts[0] + 1j * parts[1]).astype(dtype)
+    divided, multiplied = np.empty_like(x), np.empty_like(x)
+    np.divide(x, np.sqrt(d), out=divided)
+    np.multiply(x, 1.0 / np.sqrt(d), out=multiplied)
+    assert divided.tobytes() == multiplied.tobytes()

@@ -242,3 +242,16 @@ def test_owner_expands_prb_tiles_and_leaves_the_partial_prb_unowned(allocations)
     assert np.array_equal(total, grid.symbols)
     for k, uid in enumerate(grid.users):
         assert np.array_equal(user_subgrid(grid, uid).owner == 0, expected == k)
+
+
+@pytest.mark.parametrize("carriers, symbols", [(132, 21), (72, 27), (1200, 140)])
+def test_codes_are_the_one_shot_draw(carriers, symbols):
+    """build_grid draws the codes in blocks of rows; they are the one-shot
+    int64 draw of the whole grid, blanked where no user owns an element.
+    132 x 21 has an odd D and an odd last block; 27 leaves unowned symbols."""
+    num = Numerology(num_carriers=carriers, symbols_per_frame=symbols)
+    grid = build_grid(num, random_allocation(num, "u0", 0.5, seed=1), rng_seed=17)
+    want = np.random.default_rng(17).integers(0, 4, size=(carriers, symbols)).astype(np.int8)
+    want[grid.owner < 0] = -1
+    assert grid.codes.dtype == np.int8
+    assert np.array_equal(grid.codes, want)
