@@ -33,6 +33,9 @@ MAX_DOPPLER_SYMBOL_PRODUCT = 0.1
 _MAP_MIN_BYTES = 1 << 22
 # Private pages where the platform has the flag; Windows maps them privately.
 _MAP_OPTIONS = {"flags": mmap.MAP_PRIVATE} if hasattr(mmap, "MAP_PRIVATE") else {}
+# Most rows * P * D in one call of channel_response's product: a quarter of
+# the 65 536 above which OpenBLAS threads a complex GEMM.
+_PRODUCT_MAX = 1 << 14
 
 
 @dataclass
@@ -93,7 +96,31 @@ def channel_response(numerology: Numerology, paths: list[Path]) -> np.ndarray:
     gains = np.array([path.gain for path in paths], dtype=np.complex128)
     delay_ramps = np.exp(-2j * np.pi * carrier_hz[:, None] * delays) * gains
     doppler_ramps = np.exp(2j * np.pi * dopplers[:, None] * symbol_times)
-    return np.matmul(delay_ramps, doppler_ramps, out=_working_grid(m, d))
+    return _ramp_product(delay_ramps, doppler_ramps, _working_grid(m, d))
+
+
+def _ramp_product(delay_ramps: np.ndarray, doppler_ramps: np.ndarray,
+                  out: np.ndarray) -> np.ndarray:
+    """``np.matmul(delay_ramps, doppler_ramps, out=out)``, bit for bit, in
+    blocks of rows that OpenBLAS runs on the calling thread.
+
+    A call of more than 65 536 rows * P * D wakes OpenBLAS's worker thread,
+    which keeps spinning after it: the chain then used 1.4-1.9 CPU seconds
+    per wall second, for a few percent of wall time at most. So each call
+    stays within _PRODUCT_MAX. numpy sends a 1-row product to gemv, whose
+    bits differ from the matrix kernel's, while blocks of 2 rows or more
+    give the one call's bits. The M rows are therefore split evenly into
+    blocks of at most ``rows >= 3``, which leaves no 1-row block unless M
+    is 1 (an odd M cannot be cut into 2-row blocks). With P * D above
+    65 536 / 3 even 3-row blocks may thread.
+    """
+    m = len(out)
+    rows = max(3, _PRODUCT_MAX // max(doppler_ramps.size, 1))
+    blocks = -(-m // rows)
+    for b in range(blocks):
+        part = slice(b * m // blocks, (b + 1) * m // blocks)
+        np.matmul(delay_ramps[part], doppler_ramps, out=out[part])
+    return out
 
 
 # Most values per leaf of _streamed_mean: one leaf buffer of them stays small.

@@ -71,6 +71,7 @@ def read_map(path) -> ScatteringMap:
         raise UnreadableMap(
             f"{path}: expected {expected} bytes for {m}x{d} map, got {len(raw)}"
         )
+    # A copied slice: frombuffer(raw, offset=...) raised peak RSS 8 MB via glibc's mmap threshold.
     power = np.frombuffer(raw[MAP_HEADER_BYTES:], dtype="<f4").reshape(m, d)
     # write_map stores powers |.|^2; a NaN makes min and max NaN, failing both tests.
     if not (power.min() >= 0 and power.max() < np.inf):

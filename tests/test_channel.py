@@ -244,3 +244,55 @@ def test_large_working_grids_live_in_their_own_memory_map(monkeypatch):
         with monkeypatch.context() as m:
             m.setattr(channel, "_MAP_MIN_BYTES", np.inf)
             assert channel_response(num, paths).tobytes() == h.tobytes()
+
+
+@pytest.mark.parametrize("p", [0, 1, 9, 40])
+@pytest.mark.parametrize("d", [7, 140, 560])
+def test_blocked_ramp_product_is_one_matmul_bitwise(p, d):
+    """The channel's product, run in blocks of rows, equals one np.matmul of
+    the same ramps bit for bit. M sits at, just below and just above one and
+    three times the block a fixed step would take, where such a step would
+    leave a 1-row tail, which numpy sends to gemv."""
+    block = max(3, channel._PRODUCT_MAX // max(p * d, 1))
+    sizes = {1, 2, 3, 4, 5} | {k * block + delta for k in (1, 3) for delta in (-1, 0, 1)}
+    rng = np.random.default_rng(100 * p + d)
+    for m in sorted(size for size in sizes if size * d <= 1 << 20):
+        delay_ramps = rng.standard_normal((m, p)) + 1j * rng.standard_normal((m, p))
+        doppler_ramps = np.exp(2j * np.pi * rng.uniform(size=(p, d)))
+        out = np.full((m, d), np.nan, dtype=np.complex128)
+        assert channel._ramp_product(delay_ramps, doppler_ramps, out) is out
+        assert out.tobytes() == np.matmul(delay_ramps, doppler_ramps).tobytes(), m
+
+
+@pytest.mark.parametrize(
+    "carriers, symbols, paths",
+    [(5328, 140, 8), (1200, 560, 9), (600, 140, 5)],
+    ids=["fig4_analog", "sparse_long", "uplink_small"],
+)
+def test_channel_product_calls_stay_below_the_threading_bound(
+    carriers, symbols, paths, monkeypatch
+):
+    """On the benchmark scenes' shapes (M x D and LoS plus scatterer paths),
+    every matmul that channel_response makes has at least 2 rows, so none
+    goes to gemv, and rows * P * D at most _PRODUCT_MAX, so OpenBLAS keeps
+    it on the calling thread; together the calls hold M rows."""
+    num = Numerology(num_carriers=carriers, symbols_per_frame=symbols)
+    path_set = [
+        path(k * 0.4 * num.cp_duration_s / paths, 40.0 * k - 100.0, 0.9 - 0.1j * k)
+        for k in range(paths)
+    ]
+    calls = []
+    matmul = np.matmul
+
+    def recording_matmul(a, b, out):
+        calls.append((a.shape, b.shape))
+        return matmul(a, b, out=out)
+
+    # OpenBLAS 0.3.31 threads a complex GEMM above 65 536 rows * P * D.
+    assert channel._PRODUCT_MAX <= 65_536 // 4
+    monkeypatch.setattr(np, "matmul", recording_matmul)
+    channel_response(num, path_set)
+    assert sum(rows for (rows, _), _ in calls) == carriers
+    for (rows, p), (_, d) in calls:
+        assert (p, d) == (paths, symbols)
+        assert 2 <= rows and rows * p * d <= channel._PRODUCT_MAX
