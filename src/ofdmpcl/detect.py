@@ -6,11 +6,13 @@ Detection then runs a cell-averaging CFAR with a cross-shaped training
 region; the threshold factor assumes exponentially distributed noise power
 (magnitude-squared complex Gaussian). Only a local maximum can be a detection,
 so the training mean is computed at local maxima only. Map edges wrap around,
-matching the circular delay and Doppler axes of the DFT.
+matching the circular delay and Doppler axes of the DFT. The map's float32
+samples are summed, refined and compared in float64.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,22 +96,19 @@ def suppress_clutter(
     power = _out_array(out, smap.power.shape, smap.power.dtype)
     np.copyto(power, smap.power)
     power[:, center - notch_half_width : center + notch_half_width + 1] = 0.0
-    return ScatteringMap(
-        power=power,
-        delay_bin_s=smap.delay_bin_s,
-        doppler_bin_hz=smap.doppler_bin_hz,
-    )
+    return ScatteringMap(power, smap.delay_bin_s, smap.doppler_bin_hz)
 
 
 # About this many local maxima per block of rows: on noise about one cell in
-# nine is a maximum, so a block spans roughly 0.6 MB of map and its
+# nine is a maximum, so a block spans roughly 0.3 MB of map and its
 # 4 * train_cells gathers stay in cache instead of each streaming the map.
 _GATHER_BLOCK = 8192
 
 
-def _parabolic_offset(pm: np.ndarray, p0: np.ndarray, pp: np.ndarray) -> np.ndarray:
-    """Vertex offsets, in bins, of parabolas through three equally spaced
-    power samples; 0 where the samples do not curve downwards."""
+def _parabolic_offset(flat: np.ndarray, center: np.ndarray, step: int) -> np.ndarray:
+    """float64 vertex offsets, in bins, of parabolas through flat[center - step],
+    flat[center] and flat[center + step]; 0 where they do not curve downwards."""
+    pm, p0, pp = (flat[center + k].astype(np.float64) for k in (-step, 0, step))
     denom = pm + pp - 2.0 * p0
     offset = np.zeros(denom.shape)
     curved = ~(denom >= 0.0)
@@ -170,23 +169,24 @@ def cfar_detect(smap: ScatteringMap, cfg: CfarConfig) -> list[Detection]:
         # axis, then Doppler axis, each -off cell before its +off cell.
         flat = window.reshape(-1)
         center = (rows + reach) * width + (cols + reach)
-        total = np.zeros(center.size, dtype=power.dtype)
+        total = np.zeros(center.size, dtype=np.float64)
         for arm in arms:
             total += flat[center + arm]
         noise_mean = total / cfg.num_training
-        p0 = flat[center]
+        p0 = flat[center].astype(np.float64)
         hit = p0 > cfg.threshold_factor * noise_mean
-        center, p0 = center[hit], p0[hit]
-        found.append((rows[hit] + r0, cols[hit], p0, noise_mean[hit],
-                      _parabolic_offset(flat[center - width], p0, flat[center + width]),
-                      _parabolic_offset(flat[center - 1], p0, flat[center + 1])))
+        center = center[hit]
+        found.append((rows[hit] + r0, cols[hit], p0[hit], noise_mean[hit],
+                      _parabolic_offset(flat, center, width),
+                      _parabolic_offset(flat, center, 1)))
     rows, cols, p0, noise, d_delay, d_doppler = (np.concatenate(c) for c in zip(*found))
 
-    snr_db = np.full(p0.size, np.inf)
-    snr_db[noise > 0] = 10.0 * np.log10(p0[noise > 0] / noise[noise > 0])
     delay_s = (rows + d_delay) * smap.delay_bin_s
     doppler_hz = (cols - num_doppler // 2 + d_doppler) * smap.doppler_bin_hz
-    columns = (rows, cols, delay_s, doppler_hz, p0, snr_db)
+    # Scalar log10 over the hits: numpy's is dispatched per SIMD level.
+    snr_db = [10.0 * math.log10(p / n) if n > 0 else math.inf
+              for p, n in zip(p0.tolist(), noise.tolist())]
+    columns = (rows, cols, delay_s, doppler_hz, p0, np.array(snr_db))
     detections = [Detection(*fields) for fields in zip(*(c.tolist() for c in columns))]
     detections.sort(key=lambda det: (-det.peak_power, det.delay_bin, det.doppler_bin))
     return detections

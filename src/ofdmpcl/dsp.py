@@ -72,9 +72,9 @@ class SpreadingFunction:
 
 @dataclass
 class ScatteringMap:
-    """Magnitude-squared spreading function."""
+    """Magnitude-squared spreading function in float32, the map file's form."""
 
-    power: np.ndarray  # real, (delay bins, Doppler bins)
+    power: np.ndarray  # float32, (delay bins, Doppler bins)
     delay_bin_s: float
     doppler_bin_hz: float
 
@@ -190,30 +190,28 @@ def doppler_transform(
 
 
 def scattering_map(sf: SpreadingFunction, out: np.ndarray | None = None) -> ScatteringMap:
-    """Element-wise squared magnitude of the spreading function.
+    """Element-wise squared magnitude of the spreading function, as float32.
 
-    Rows go through one small buffer in blocks. ``out``, of the spectrum's
-    shape and real dtype, receives the map instead of a new array. It may
-    share the spectrum's memory as long as no block's values land on the
-    rows of a later block, because a block is read in full before its
-    values are written. The float view over the first M * D floats of a
+    |s|^2 is computed at the spectrum's precision and rounded once to
+    float32. Rows go through one small buffer in blocks. ``out``, a float32
+    array of the spectrum's shape, receives the map instead of a new array.
+    It may share the spectrum's memory as long as no block's values land on
+    the rows of a later block, because a block is read in full before its
+    values are written. The float32 view over the first M * D floats of a
     contiguous complex grid whose leading D columns are ``sf.s`` is such an
     array.
     """
     s = sf.s
     m = s.shape[0]
-    power = _out_array(out, s.shape, s.real.dtype)
-    block = np.empty((_block_rows(m), s.shape[1]), dtype=power.dtype)
+    power = _out_array(out, s.shape, np.float32)
+    block = np.empty((_block_rows(m), s.shape[1]), dtype=s.real.dtype)
     for r0 in range(0, m, len(block)):
         rows = slice(r0, r0 + len(block))
         buf = block[: len(power[rows])]
         np.abs(s[rows], out=buf)
-        np.multiply(buf, buf, out=power[rows])
-    return ScatteringMap(
-        power=power,
-        delay_bin_s=sf.delay_bin_s,
-        doppler_bin_hz=sf.doppler_bin_hz,
-    )
+        np.multiply(buf, buf, out=buf)
+        power[rows] = buf
+    return ScatteringMap(power, sf.delay_bin_s, sf.doppler_bin_hz)
 
 
 def max_integration_time(target_speed_mps: float, delay_bin_s: float) -> float:

@@ -9,13 +9,16 @@ Map file layout (little endian, 64-byte header):
     bytes 32..39  float64  Doppler bin width in Hz
     bytes 40..63  zero padding
     then M*D float32 power values, row-major (delay rows, Doppler columns)
+
+The payload is the float32 map that the run's detector read, so a run's
+detections can be recomputed from its map file.
 """
 
 from __future__ import annotations
 
 import csv
+import os
 import struct
-from pathlib import Path
 
 import numpy as np
 
@@ -24,7 +27,6 @@ from .errors import UnreadableMap
 
 MAP_MAGIC = b"CPCLMAP1"
 MAP_HEADER_BYTES = 64
-_WRITE_BLOCK_ROWS = 64
 
 DETECTION_COLUMNS = [
     "pair_id",
@@ -47,40 +49,37 @@ def write_map(path, smap: ScatteringMap) -> None:
     header += b"\x00" * (MAP_HEADER_BYTES - len(header))
     with open(path, "wb") as f:
         f.write(header)
-        # float32 a block of rows at a time, so no full-size copy exists
-        for r0 in range(0, m, _WRITE_BLOCK_ROWS):
-            f.write(smap.power[r0 : r0 + _WRITE_BLOCK_ROWS].astype("<f4"))
+        # The chain's float32 map is written as it is; only another dtype is copied.
+        f.write(np.ascontiguousarray(smap.power, dtype="<f4"))
 
 
 def read_map(path) -> ScatteringMap:
+    """The stored map, its payload read straight into a writable float32 array."""
     try:
-        raw = Path(path).read_bytes()
+        with open(path, "rb") as f:
+            header = f.read(MAP_HEADER_BYTES)
+            size = os.fstat(f.fileno()).st_size
+            if len(header) < MAP_HEADER_BYTES:
+                raise UnreadableMap(f"{path}: shorter than the {MAP_HEADER_BYTES}-byte header")
+            if header[:8] != MAP_MAGIC:
+                raise UnreadableMap(f"{path}: bad magic {header[:8]!r}")
+            m_f, d_f, delay_bin, doppler_bin = struct.unpack("<4d", header[8:40])
+            # is_integer() is False for NaN and infinities, so int() cannot fail.
+            if not (m_f.is_integer() and d_f.is_integer() and m_f > 0 and d_f > 0):
+                raise UnreadableMap(f"{path}: invalid dimensions {m_f} x {d_f}")
+            m, d = int(m_f), int(d_f)
+            expected = MAP_HEADER_BYTES + 4 * m * d
+            if size != expected:
+                raise UnreadableMap(f"{path}: expected {expected} bytes for {m}x{d} map, "
+                                    f"got {size}")
+            power = np.empty((m, d), dtype="<f4")
+            f.readinto(power)
     except OSError as exc:
         raise UnreadableMap(f"cannot read {path}: {exc}") from exc
-    if len(raw) < MAP_HEADER_BYTES:
-        raise UnreadableMap(f"{path}: shorter than the {MAP_HEADER_BYTES}-byte header")
-    if raw[:8] != MAP_MAGIC:
-        raise UnreadableMap(f"{path}: bad magic {raw[:8]!r}")
-    m_f, d_f, delay_bin, doppler_bin = struct.unpack("<4d", raw[8:40])
-    # is_integer() is False for NaN and infinities, so int() cannot fail.
-    if not (m_f.is_integer() and d_f.is_integer() and m_f > 0 and d_f > 0):
-        raise UnreadableMap(f"{path}: invalid dimensions {m_f} x {d_f}")
-    m, d = int(m_f), int(d_f)
-    expected = MAP_HEADER_BYTES + 4 * m * d
-    if len(raw) != expected:
-        raise UnreadableMap(
-            f"{path}: expected {expected} bytes for {m}x{d} map, got {len(raw)}"
-        )
-    # A copied slice: frombuffer(raw, offset=...) raised peak RSS 8 MB via glibc's mmap threshold.
-    power = np.frombuffer(raw[MAP_HEADER_BYTES:], dtype="<f4").reshape(m, d)
     # write_map stores powers |.|^2; a NaN makes min and max NaN, failing both tests.
     if not (power.min() >= 0 and power.max() < np.inf):
         raise UnreadableMap(f"{path}: map holds non-finite or negative power")
-    return ScatteringMap(
-        power=power.astype(np.float64),
-        delay_bin_s=delay_bin,
-        doppler_bin_hz=doppler_bin,
-    )
+    return ScatteringMap(power=power, delay_bin_s=delay_bin, doppler_bin_hz=doppler_bin)
 
 
 def render_heatmap(power: np.ndarray, db_floor: float) -> np.ndarray:
@@ -98,7 +97,8 @@ def render_heatmap(power: np.ndarray, db_floor: float) -> np.ndarray:
     if db_floor == 0:
         return np.where(image == peak, 255, 0).astype(np.uint8)
     with np.errstate(divide="ignore"):
-        level_db = 10.0 * np.log10(image / peak)
+        # float64 whatever the map's dtype, so a float32 map renders as its float64 copy.
+        level_db = 10.0 * np.log10(np.divide(image, peak, dtype=np.float64))
     level_db = np.clip(level_db, -db_floor, 0.0)
     return np.round((level_db + db_floor) / db_floor * 255.0).astype(np.uint8)
 

@@ -440,9 +440,9 @@ def _run_pair(scenario: Scenario, scene: Scene, grid: ResourceGrid, pair_spec: P
 
     The frame that apply_channel returns is the pair's one complex working
     grid: the estimate, the impulse response and the spreading function each
-    overwrite it in place, the map fills its first M * D floats, and the
-    notch zeroes that map in place. Each stage's input is released as soon
-    as the next stage returns."""
+    overwrite it in place, the float32 map fills its first M * D floats, and
+    the notch zeroes that map in place. Each stage's input is released as
+    soon as the next stage returns."""
     pair = scene.pair(pair_spec.tx, pair_spec.rx)
     paths = enumerate_paths(scene, pair, scenario.numerology.carrier_frequency_hz)
     frame = apply_channel(grid, paths, scenario.snr_db,
@@ -458,7 +458,7 @@ def _run_pair(scenario: Scenario, scene: Scene, grid: ResourceGrid, pair_spec: P
     del cir
     # Block by block, the map's floats land on complex elements already read.
     m, d = sf.s.shape
-    smap = scattering_map(sf, out=work.view(np.float64).reshape(-1)[: m * d].reshape(m, d))
+    smap = scattering_map(sf, out=work.view(np.float32).reshape(-1)[: m * d].reshape(m, d))
     del sf
 
     stem = f"{pair_spec.tx}_{pair_spec.rx}"

@@ -5,12 +5,18 @@ failure) and enforces the criterion's stated tolerances, including runtime
 budgets where the criterion names one.
 """
 
+import os
+import platform
+import subprocess
+import sys
 import time
 from contextlib import contextmanager
 
 import numpy as np
 import pytest
+from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
 
+import ofdmpcl
 from ofdmpcl import (
     AmbiguousFix,
     BistaticMeasurement,
@@ -39,6 +45,7 @@ from ofdmpcl import (
 )
 from ofdmpcl.dsp import ChannelEstimate
 from ofdmpcl.geometry import seed_words
+from ofdmpcl.mapfile import render_heatmap, write_detections_csv
 from ofdmpcl.scenario import bundled_scenario_path
 from oracles import (
     center_zero_frequency,
@@ -67,6 +74,13 @@ def fig4_run(tmp_path_factory):
     result = run_scenario(scenario, out_dir=out)
     elapsed = time.perf_counter() - start
     return scenario, result, elapsed
+
+
+@pytest.fixture(scope="module")
+def uplink_run(tmp_path_factory):
+    """One run of the bundled three_user_uplink scenario, shared below."""
+    scenario = load_scenario(bundled_scenario_path("three_user_uplink"))
+    return scenario, run_scenario(scenario, out_dir=tmp_path_factory.mktemp("uplink"))
 
 
 def _fig4_truths(scenario):
@@ -157,12 +171,20 @@ def test_fig4_heatmap_shows_clutter_ridge_and_target_blob(fig4_run):
     assert blob[0] == int(round(target.delay_s / scenario.numerology.delay_bin_s))
 
     # rendered image: the ridge is the brightest horizontal line, centered
-    from ofdmpcl.mapfile import render_heatmap
-
     image = render_heatmap(power, db_floor=60.0).astype(float)
     rows = image.shape[0]
     ridge_row = rows - 1 - center
     assert np.argmax(image.mean(axis=1)) == ridge_row
+
+
+def test_float32_map_renders_as_its_float64_copy(fig4_run):
+    """The heatmap of a stored float32 map is that of its float64 copy, pixel
+    for pixel, also at a 90 dB floor and for an all-zero map."""
+    power = np.asarray(read_map(fig4_run[1].pair_results[0].map_file).power, np.float32)
+    for p in (power, np.zeros_like(power)):
+        for floor in (0.0, 60.0, 90.0):
+            got, want = render_heatmap(p, floor), render_heatmap(p.astype(np.float64), floor)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), floor
 
 
 def test_criterion_2_sinc_squared_ambiguity():
@@ -417,3 +439,60 @@ def test_criterion_9_bit_reproducibility(tmp_path):
                 assert (a.output_dir / file_name).read_bytes() == (
                     b.output_dir / file_name
                 ).read_bytes(), file_name
+
+
+def test_detections_recompute_from_the_map_files(fig4_run, uplink_run, tmp_path):
+    """The map file holds the float32 map that the run's notch and CFAR read,
+    so running them on read_map writes each detection CSV byte for byte."""
+    recomputed = tmp_path / "detections.csv"
+    for scenario, result in (fig4_run[:2], uplink_run):
+        for pair in result.pair_results:
+            smap = suppress_clutter(read_map(pair.map_file), scenario.notch_half_width_bins)
+            write_detections_csv(recomputed, pair.pair.pair_id, cfar_detect(smap, scenario.cfar))
+            assert recomputed.read_bytes() == pair.detections_file.read_bytes(), pair.map_file.name
+
+
+def _cpu_variants():
+    """Environments that move a child process to the oldest x86 OpenBLAS
+    kernel (only a DYNAMIC_ARCH OpenBLAS can switch), and to numpy's
+    baseline SIMD level with every dispatched target this CPU has turned off."""
+    variants = []
+    if (platform.machine().lower() in ("x86_64", "amd64")
+            and "DYNAMIC_ARCH" in str(np.show_config(mode="dicts"))):
+        variants.append({"OPENBLAS_CORETYPE": "Prescott"})
+    enabled = [name for name in __cpu_dispatch__ if __cpu_features__.get(name)]
+    if enabled:
+        variants.append({"NPY_DISABLE_CPU_FEATURES": " ".join(enabled)})
+    return variants
+
+
+def test_maps_and_detections_do_not_depend_on_the_cpu_kernels(uplink_run, tmp_path):
+    """three_user_uplink, run through the command line in child processes
+    under each of _cpu_variants(), writes the same map and detection-CSV
+    bytes as the default run in this process; the variables act on the
+    children only. positions.csv is not compared: locate's BLAS and LAPACK
+    calls on 2x2 and Px2 arrays may still change its last bits. Not covered
+    either: glibc's libm picks its own per-CPU variants (FMA or not) of
+    functions such as exp and sin, and no variable here switches them."""
+    variants = _cpu_variants()
+    if not variants:
+        pytest.skip("no BLAS kernel or SIMD target that this host can switch")
+    src = os.path.dirname(os.path.dirname(ofdmpcl.__file__))
+    script = "import sys; from ofdmpcl.cli import main; sys.exit(main(sys.argv[1:]))"
+    children = []
+    for i, variant in enumerate(variants):
+        env = {**os.environ, **variant,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        out = tmp_path / f"variant{i}"
+        command = [sys.executable, "-c", script, "run", "three_user_uplink", "--out", str(out)]
+        children.append((variant, out, subprocess.Popen(
+            command, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)))
+    default = uplink_run[1].output_dir
+    names = sorted(p.name for p in default.iterdir()
+                   if p.name.startswith(("map_", "detections_")))
+    assert names
+    errors = [child.communicate(timeout=120)[1] for _, _, child in children]
+    for (variant, out, child), err in zip(children, errors):
+        assert child.returncode == 0, err.decode()
+        for name in names:
+            assert (out / name).read_bytes() == (default / name).read_bytes(), (variant, name)

@@ -155,7 +155,7 @@ def test_an_out_of_the_wrong_shape_or_dtype_raises_before_anything_is_written():
 @pytest.mark.parametrize("window", ["rect", "hann"])
 @pytest.mark.parametrize("num_symbols", [None, 20, 21])
 def test_map_and_notch_in_the_working_grid_equal_the_default_calls(window, num_symbols):
-    """The map written into the float view over the working grid's first
+    """The map written into the float32 view over the working grid's first
     M * D floats, and the notch applied to it in place, give the default
     calls' results bitwise, also for a Doppler window shorter than D."""
     for m, d in ((60, 28), (1027, 28), (60, 27)):
@@ -170,7 +170,7 @@ def test_map_and_notch_in_the_working_grid_equal_the_default_calls(window, num_s
         notched = suppress_clutter(smap, 2)
 
         rows, cols = sf.s.shape
-        view = work.view(np.float64).reshape(-1)[: rows * cols].reshape(rows, cols)
+        view = work.view(np.float32).reshape(-1)[: rows * cols].reshape(rows, cols)
         got = scattering_map(sf, out=view)
         assert np.shares_memory(got.power, work)
         assert _bits(got.power) == _bits(smap.power)
@@ -188,8 +188,8 @@ def test_a_map_out_of_the_wrong_shape_or_dtype_raises_before_anything_is_written
     stages = [lambda out: scattering_map(sf, out=out),
               lambda out: suppress_clutter(smap, 1, out=out)]
     for stage in stages:
-        for out in (np.full((m, d), 7.0, np.float32), np.full((m - 1, d), 7.0),
-                    np.full((m, d - 1), 7.0)):
+        for out in (np.full((m, d), 7.0), np.full((m - 1, d), 7.0, np.float32),
+                    np.full((m, d - 1), 7.0, np.float32)):
             before = out.copy()
             with pytest.raises(ValueError, match="out is"):
                 stage(out)

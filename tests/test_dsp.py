@@ -205,7 +205,9 @@ def test_scattering_map_trivial_cases():
     grid, frame = single_path_frame(delay_bins=1.0)
     sf = doppler_transform(delay_transform(estimate_channel(frame, grid)))
     smap = scattering_map(sf)
-    np.testing.assert_allclose(smap.power, np.abs(sf.s) ** 2, rtol=1e-15)
+    # |s|^2 in float64, rounded once to float32, bit for bit
+    assert smap.power.dtype == np.float32
+    assert smap.power.tobytes() == (np.abs(sf.s) ** 2).astype(np.float32).tobytes()
     assert np.all(smap.power >= 0)
     sf.s = np.zeros_like(sf.s)
     assert scattering_map(sf).power.sum() == 0.0

@@ -3,7 +3,8 @@
 Each example writes a CPCLMAP1 header with arbitrary float64 fields and a
 payload of arbitrary bytes and length. Dimensions are drawn as small
 integers often enough that the payload sometimes fits the header exactly.
-Every map that reads holds finite powers >= 0.
+Every map that reads is its payload, as a writable float32 array, and holds
+finite powers >= 0.
 """
 
 import math
@@ -57,7 +58,9 @@ def _read_map_returns_a_map_or_raises_unreadable(case):
         except UnreadableMap:
             return
     assert smap.power.shape == (m, d)
-    assert smap.power.dtype == np.float64
+    # the payload itself, as a writable float32 map
+    assert smap.power.dtype == np.float32 and smap.power.flags.writeable
+    assert smap.power.tobytes() == data[MAP_HEADER_BYTES:]
     assert np.all(np.isfinite(smap.power)) and np.all(smap.power >= 0)
 
 
