@@ -71,7 +71,7 @@ class BistaticPair:
 
     @property
     def baseline_m(self) -> float:
-        return float(np.linalg.norm(self.rx_position - self.tx_position))
+        return float(distance(self.rx_position - self.tx_position))
 
 
 @dataclass
@@ -108,16 +108,21 @@ class Scene:
         return BistaticPair(tx_id, rx_id, tx.position, rx.position)
 
 
+def distance(v):
+    """Length of 2-D vectors over the last axis; plain ufuncs, no CPU-dependent BLAS call."""
+    return np.sqrt(v[..., 0] * v[..., 0] + v[..., 1] * v[..., 1])
+
+
 def _range_and_rate(p_from: Node, p_to: Node) -> tuple[float, float]:
     """Distance between two nodes and its time derivative at frame start."""
     dp = p_to.position - p_from.position
-    r = float(np.linalg.norm(dp))
+    r = float(distance(dp))
     if r == 0.0:
         raise CoincidentNodes(
             f"nodes {p_from.id!r} and {p_to.id!r} share a position"
         )
     dv = p_to.velocity - p_from.velocity
-    return r, float(dp @ dv) / r
+    return r, float(dp[0] * dv[0] + dp[1] * dv[1]) / r
 
 
 def bistatic_path(

@@ -16,7 +16,7 @@ import numpy as np
 
 from .detect import Detection
 from .errors import AmbiguousFix, NegativeExcess
-from .geometry import SPEED_OF_LIGHT, BistaticPair
+from .geometry import SPEED_OF_LIGHT, BistaticPair, distance
 from .grid import Numerology
 
 GRID_DIVISIONS = 50  # grid-search resolution: 1/50 of the bounding-box diagonal
@@ -74,18 +74,41 @@ def measurement_from_detection(
 def _focal_sums(points: np.ndarray, tx: np.ndarray, rx: np.ndarray) -> np.ndarray:
     """Focal sums of shape (npoints, nmeas) for foci ``tx``, ``rx`` of shape (nmeas, 2)."""
     pts = np.atleast_2d(points)[:, None, :]
-    return np.linalg.norm(pts - tx, axis=2) + np.linalg.norm(pts - rx, axis=2)
+    return distance(pts - tx) + distance(pts - rx)
 
 
 def _jacobian(point: np.ndarray, tx: np.ndarray, rx: np.ndarray) -> np.ndarray:
-    """Gradient of each focal sum at ``point``, shape (nmeas, 2).
-
-    Each distance is sqrt(vecdot), the dot a 1-D ``np.linalg.norm`` takes;
-    ``norm(axis=1)`` sums the squares instead and can differ in the last bit.
-    """
+    """Gradient of each focal sum at ``point``, shape (nmeas, 2)."""
     d_tx, d_rx = point - tx, point - rx
-    return (d_tx / np.sqrt(np.vecdot(d_tx, d_tx))[:, None]
-            + d_rx / np.sqrt(np.vecdot(d_rx, d_rx))[:, None])
+    return d_tx / distance(d_tx)[:, None] + d_rx / distance(d_rx)[:, None]
+
+
+def _normal_equations(point, tx, rx, weights, res):
+    """Normal equations at ``point``: J'WJ = [[a, b], [b, c]], J'W res = (gx, gy)."""
+    jac = _jacobian(point, tx, rx)
+    jx, jy = jac[:, 0], jac[:, 1]
+    wx, wr = weights * jx, weights * res
+    return (float(np.sum(wx * jx)), float(np.sum(wx * jy)),
+            float(np.sum(weights * jy * jy)), float(np.sum(jx * wr)), float(np.sum(jy * wr)))
+
+
+def _damped_step(a, b, c, gx, gy, damping):
+    """Solve [[a + r, b], [b, c + r]] step = (gx, gy), r = damping * trace, by
+    Cramer's rule; None when the determinant is not positive."""
+    r = damping * max(a + c, 1e-300)
+    det = (a + r) * (c + r) - b * b
+    if not det > 0:
+        return None
+    return np.array([(c + r) * gx - b * gy, (a + r) * gy - b * gx]) / det
+
+
+def _covariance(a, b, c):
+    """Inverse of [[a, b], [b, c]]; a singular one gets its pseudo-inverse,
+    H / trace(H)**2 at rank 1 and zeros at rank 0."""
+    det, trace = a * c - b * b, a + c
+    if det > 0:
+        return np.array([[c, -b], [-b, a]]) / det
+    return np.array([[a, b], [b, c]]) / trace**2 if trace > 0 else np.zeros((2, 2))
 
 
 def _grid_candidates(tx, rx, ranges, weights):
@@ -103,7 +126,7 @@ def _grid_candidates(tx, rx, ranges, weights):
         lo = np.min(centers - half[:, None], axis=0)
         hi = np.max(centers + half[:, None], axis=0)
 
-    diag = float(np.linalg.norm(hi - lo))
+    diag = float(distance(hi - lo))
     step = diag / GRID_DIVISIONS
     nx = max(int(np.ceil((hi[0] - lo[0]) / step)) + 1, 2)
     ny = max(int(np.ceil((hi[1] - lo[1]) / step)) + 1, 2)
@@ -129,40 +152,31 @@ def _grid_candidates(tx, rx, ranges, weights):
 
 
 def _gauss_newton(start, tx, rx, ranges, weights):
-    """Damped Gauss-Newton descent on the weighted focal-sum cost.
-
-    A step is taken only when it does not raise the cost, so the result never
-    costs more than ``start``.
-    """
+    """Damped Gauss-Newton descent on the weighted focal-sum cost. A step is
+    taken only when it does not raise the cost, so the result never costs
+    more than ``start``."""
     point = np.asarray(start, dtype=float).copy()
     res = _focal_sums(point, tx, rx)[0] - ranges
-    cost = float(res @ (weights * res))
+    cost = float(np.sum(weights * res * res))
     damping = 1e-6
-    scale = 1.0 + float(np.linalg.norm(point))
+    scale = 1.0 + float(distance(point))
 
     for _ in range(MAX_ITERATIONS):
-        jac = _jacobian(point, tx, rx)
-        grad = jac.T @ (weights * res)
-        hess = jac.T @ (weights[:, None] * jac)
-        stepped = False
+        a, b, c, gx, gy = _normal_equations(point, tx, rx, weights, res)
         for _ in range(24):
-            try:
-                step = np.linalg.solve(
-                    hess + damping * np.eye(2) * max(np.trace(hess), 1e-300), grad
-                )
-            except np.linalg.LinAlgError:
-                damping *= 10.0
-                continue
-            trial = point - step
-            trial_res = _focal_sums(trial, tx, rx)[0] - ranges
-            trial_cost = float(trial_res @ (weights * trial_res))
-            if trial_cost <= cost:
-                point, res, cost = trial, trial_res, trial_cost
-                damping = max(damping / 10.0, 1e-14)
-                stepped = True
-                break
+            step = _damped_step(a, b, c, gx, gy, damping)
+            if step is not None:
+                trial = point - step
+                trial_res = _focal_sums(trial, tx, rx)[0] - ranges
+                trial_cost = float(np.sum(weights * trial_res * trial_res))
+                if trial_cost <= cost:
+                    point, res, cost = trial, trial_res, trial_cost
+                    damping = max(damping / 10.0, 1e-14)
+                    break
             damping *= 10.0
-        if not stepped or np.linalg.norm(step) < 1e-14 * scale:
+        else:
+            break
+        if distance(step) < 1e-14 * scale:
             break
     return point, res, cost
 
@@ -188,35 +202,16 @@ def fuse_position(measurements) -> PositionEstimate:
     solutions = []
     for start in candidates[:4]:
         point, res, cost = _gauss_newton(start, tx, rx, ranges, weights)
-        # Deduplicate basins.
-        if any(np.linalg.norm(point - s[0]) < 1e-3 * diag for s in solutions):
-            continue
-        solutions.append((point, res, cost))
+        if not any(distance(point - s[0]) < 1e-3 * diag for s in solutions):  # a new basin
+            solutions.append((point, res, cost))
 
     solutions.sort(key=lambda s: s[2])
-    estimates = [_finalize(point, res, tx, rx, weights) for point, res, _ in solutions]
-
-    if len(estimates) >= 2:
-        first, second = estimates[0], estimates[1]
-        tol = 1.1 * first.residual_rms_m + 1e-9 * diag
-        if second.residual_rms_m <= tol:
-            raise AmbiguousFix(
-                "two position candidates fit the measurements within 10%",
-                [first, second],
-            )
+    estimates = [
+        PositionEstimate(point, float(np.sqrt(np.mean(res**2))), len(tx),
+                         _covariance(*_normal_equations(point, tx, rx, weights, res)[:3]))
+        for point, res, _ in solutions
+    ]
+    if len(estimates) >= 2 and (estimates[1].residual_rms_m
+                                <= 1.1 * estimates[0].residual_rms_m + 1e-9 * diag):
+        raise AmbiguousFix("two position candidates fit the measurements within 10%", estimates[:2])
     return estimates[0]
-
-
-def _finalize(point, res, tx, rx, weights) -> PositionEstimate:
-    jac = _jacobian(point, tx, rx)
-    hess = jac.T @ (weights[:, None] * jac)
-    try:
-        covariance = np.linalg.inv(hess)
-    except np.linalg.LinAlgError:
-        covariance = np.linalg.pinv(hess)
-    return PositionEstimate(
-        position=point,
-        residual_rms_m=float(np.sqrt(np.mean(res**2))),
-        pairs_used=len(tx),
-        covariance=covariance,
-    )

@@ -39,7 +39,7 @@ from .dsp import (
 )
 from .errors import AmbiguousFix, NegativeExcess, OfdmPclError, OutOfBounds, ScenarioError
 from .geometry import NODE_KINDS, RADIO_KINDS, SPEED_OF_LIGHT, Node, Scene, enumerate_paths
-from .geometry import bistatic_path, los_magnitude, los_path, seed_words
+from .geometry import bistatic_path, distance, los_magnitude, los_path, seed_words
 from .grid import (
     PRB_CARRIERS,
     PRB_SYMBOLS,
@@ -506,7 +506,7 @@ def run_scenario(scenario: Scenario, out_dir=None, seed=None, log=None) -> RunRe
     grid = build_grid(scenario.numerology, _allocations_from_spec(scenario), scenario.seed)
 
     fastest = max(
-        (float(np.linalg.norm(n.velocity)) for n in scenario.nodes if n.kind == "target"),
+        (float(distance(n.velocity)) for n in scenario.nodes if n.kind == "target"),
         default=0.0,
     )
     window_s = scenario.doppler_window_symbols * scenario.numerology.symbol_duration_s

@@ -214,11 +214,13 @@ def focal_sums_loop(points, measurements):
 def jacobian_loop(point, measurements):
     """Gradient of each focal sum at one point, one row per measurement.
 
-    Each distance is the 1-D ``np.linalg.norm`` of one offset vector.
+    Each distance is ``np.linalg.norm(..., axis=1)``, as in ``focal_sums_loop``.
     """
+    pt = np.atleast_2d(point)
     rows = []
     for m in measurements:
-        d_tx = point - m.pair.tx_position
-        d_rx = point - m.pair.rx_position
-        rows.append(d_tx / np.linalg.norm(d_tx) + d_rx / np.linalg.norm(d_rx))
+        d_tx = pt - m.pair.tx_position[None, :]
+        d_rx = pt - m.pair.rx_position[None, :]
+        rows.append(d_tx[0] / np.linalg.norm(d_tx, axis=1)[0]
+                    + d_rx[0] / np.linalg.norm(d_rx, axis=1)[0])
     return np.array(rows)

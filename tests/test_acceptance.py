@@ -5,6 +5,7 @@ failure) and enforces the criterion's stated tolerances, including runtime
 budgets where the criterion names one.
 """
 
+import json
 import os
 import platform
 import subprocess
@@ -466,31 +467,72 @@ def _cpu_variants():
     return variants
 
 
-def test_maps_and_detections_do_not_depend_on_the_cpu_kernels(uplink_run, tmp_path):
-    """three_user_uplink, run through the command line in child processes
-    under each of _cpu_variants(), writes the same map and detection-CSV
-    bytes as the default run in this process; the variables act on the
-    children only. positions.csv is not compared: locate's BLAS and LAPACK
-    calls on 2x2 and Px2 arrays may still change its last bits. Not covered
-    either: glibc's libm picks its own per-CPU variants (FMA or not) of
-    functions such as exp and sin, and no variable here switches them."""
+def _cross_kernel_scenarios(tmp_path):
+    """three_user_uplink; fig4_analog at 600 carriers; and one 600 x 140
+    uplink pair, whose map changed with the OpenBLAS kernel while the path
+    geometry took its distances through BLAS (a full allocation did not)."""
+    fig4 = json.loads(bundled_scenario_path("fig4_analog").read_text())
+    fig4["numerology"]["num_carriers"] = 600
+    pair = {
+        "seed": 183265216,
+        "numerology": {"subcarrier_spacing_hz": 15000.0, "num_carriers": 600,
+                       "symbols_per_frame": 140, "cp_fraction": 1.0 / 14.0,
+                       "carrier_frequency_hz": 5.9e9},
+        "nodes": [
+            {"id": "tx0", "kind": "illuminator", "position_m": [66.257, -36.732]},
+            {"id": "rx1", "kind": "sensor", "position_m": [-38.992, 55.603]},
+            {"id": "tgt0", "kind": "target", "position_m": [-133.26, 118.475],
+             "velocity_mps": [1.374, -16.927], "reflectivity": 0.1},
+            {"id": "post0", "kind": "clutter", "position_m": [-63.27, 135.229], "reflectivity": 0.25},
+            {"id": "post1", "kind": "clutter", "position_m": [-103.25, 107.613], "reflectivity": 0.25},
+            {"id": "post2", "kind": "clutter", "position_m": [-34.764, 82.466], "reflectivity": 0.25},
+        ],
+        "pairs": [{"tx": "tx0", "rx": "rx1"}],
+        "allocation": {"type": "tiles", "tiles": [
+            [user, row, 0, 20]
+            for user, lo, hi in (("u0", 0, 22), ("u1", 22, 39), ("u2", 39, 50))
+            for row in range(lo, hi)]},
+        "snr_db": 20.0,
+        "doppler_window_symbols": 140,
+        "process_user": "u1",
+    }
+    scenarios = [str(bundled_scenario_path("three_user_uplink"))]
+    for name, doc in (("fig4_600", fig4), ("uplink_pair", pair)):
+        scenarios.append(str(tmp_path / f"{name}.json"))
+        (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+    return scenarios
+
+
+def test_artifacts_do_not_depend_on_the_cpu_kernels(tmp_path):
+    """The scenarios of _cross_kernel_scenarios, run through the command line
+    in child processes under each of _cpu_variants(), write the same map,
+    detection-CSV and positions.csv bytes as a default run in this process;
+    the variables act on the children only. Not covered: glibc's libm picks
+    its own per-CPU variants (FMA or not) of functions such as exp and sin,
+    and no variable here switches them."""
     variants = _cpu_variants()
     if not variants:
         pytest.skip("no BLAS kernel or SIMD target that this host can switch")
+    scenarios = _cross_kernel_scenarios(tmp_path)
     src = os.path.dirname(os.path.dirname(ofdmpcl.__file__))
-    script = "import sys; from ofdmpcl.cli import main; sys.exit(main(sys.argv[1:]))"
+    script = ("import sys; from ofdmpcl.cli import main; out, *scenarios = sys.argv[1:]; "
+              "sys.exit(any(main(['run', s, '--out', f'{out}/{i}']) "
+              "for i, s in enumerate(scenarios)))")
     children = []
-    for i, variant in enumerate(variants):
+    for v, variant in enumerate(variants):
         env = {**os.environ, **variant,
                "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        out = tmp_path / f"variant{i}"
-        command = [sys.executable, "-c", script, "run", "three_user_uplink", "--out", str(out)]
+        out = tmp_path / f"variant{v}"
+        command = [sys.executable, "-c", script, str(out), *scenarios]
         children.append((variant, out, subprocess.Popen(
             command, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)))
-    default = uplink_run[1].output_dir
-    names = sorted(p.name for p in default.iterdir()
-                   if p.name.startswith(("map_", "detections_")))
-    assert names
+    for i, scenario in enumerate(scenarios):
+        run_scenario(load_scenario(scenario), out_dir=tmp_path / "default" / str(i),
+                     log=lambda msg: None)
+    default = tmp_path / "default"
+    names = sorted(str(p.relative_to(default)) for p in default.rglob("*")
+                   if p.is_file() and p.name != "manifest.json")
+    assert os.path.join("1", "positions.csv") in names
     errors = [child.communicate(timeout=120)[1] for _, _, child in children]
     for (variant, out, child), err in zip(children, errors):
         assert child.returncode == 0, err.decode()

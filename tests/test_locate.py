@@ -12,7 +12,7 @@ from ofdmpcl import (
     fuse_position,
     measurement_from_detection,
 )
-from ofdmpcl.locate import _focal_sums, _grid_candidates, _jacobian
+from ofdmpcl.locate import _covariance, _damped_step, _focal_sums, _grid_candidates, _jacobian
 from oracles import focal_sums_loop, jacobian_loop
 
 NUM = Numerology(num_carriers=80, symbols_per_frame=28)  # bin width 1/1.2 MHz
@@ -265,3 +265,28 @@ def test_grid_candidates_are_distinct_and_sorted_by_cost(num_pairs):
         assert len(np.unique(points, axis=0)) == len(points) >= 1
         cost = ((_focal_sums(points, tx, rx) - ranges) ** 2 * weights).sum(axis=1)
         assert np.all(np.diff(cost) >= 0)
+
+
+def test_damped_step_and_covariance_match_numpy_linear_algebra():
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        jac = rng.normal(size=(int(rng.integers(2, 9)), 2))
+        a, b, c = jac[:, 0] @ jac[:, 0], jac[:, 0] @ jac[:, 1], jac[:, 1] @ jac[:, 1]
+        hess = np.array([[a, b], [b, c]])
+        if np.linalg.cond(hess) > 1e3:
+            continue
+        grad = rng.normal(size=2)
+        damping = 10.0 ** rng.uniform(-14.0, 2.0)
+        expected = np.linalg.solve(hess + damping * (a + c) * np.eye(2), grad)
+        np.testing.assert_allclose(_damped_step(a, b, c, *grad, damping), expected, rtol=1e-12)
+        np.testing.assert_allclose(_covariance(a, b, c), np.linalg.inv(hess), rtol=1e-12)
+
+
+def test_covariance_of_a_singular_matrix_is_its_pseudo_inverse():
+    # Rank 1 with an exactly zero determinant: ac - b^2 = 0 in floats.
+    for a, b, c in ((4.0, -2.0, 1.0), (0.25, 0.5, 1.0), (2.0, 0.0, 0.0)):
+        hess = np.array([[a, b], [b, c]])
+        np.testing.assert_allclose(_covariance(a, b, c), np.linalg.pinv(hess),
+                                   rtol=1e-12, atol=1e-15)
+    assert np.array_equal(_covariance(0.0, 0.0, 0.0), np.zeros((2, 2)))
+    assert _damped_step(0.0, 0.0, 0.0, 1.0, 1.0, 1e-6) is None
