@@ -33,9 +33,9 @@ MAX_DOPPLER_SYMBOL_PRODUCT = 0.1
 _MAP_MIN_BYTES = 1 << 22
 # Private pages where the platform has the flag; Windows maps them privately.
 _MAP_OPTIONS = {"flags": mmap.MAP_PRIVATE} if hasattr(mmap, "MAP_PRIVATE") else {}
-# Most rows * P * D in one call of channel_response's product: a quarter of
-# the 65 536 above which OpenBLAS threads a complex GEMM.
-_PRODUCT_MAX = 1 << 14
+# Most rows * P * D in one call of channel_response's product: one less than
+# the 65 536 from which OpenBLAS threads a complex GEMM.
+_PRODUCT_MAX = 65_535
 
 
 @dataclass
@@ -104,7 +104,7 @@ def _ramp_product(delay_ramps: np.ndarray, doppler_ramps: np.ndarray,
     """``np.matmul(delay_ramps, doppler_ramps, out=out)``, bit for bit, in
     blocks of rows that OpenBLAS runs on the calling thread.
 
-    A call of more than 65 536 rows * P * D wakes OpenBLAS's worker thread,
+    A call of 65 536 rows * P * D or more wakes OpenBLAS's worker thread,
     which keeps spinning after it: the chain then used 1.4-1.9 CPU seconds
     per wall second, for a few percent of wall time at most. So each call
     stays within _PRODUCT_MAX. numpy sends a 1-row product to gemv, whose
@@ -112,7 +112,7 @@ def _ramp_product(delay_ramps: np.ndarray, doppler_ramps: np.ndarray,
     give the one call's bits. The M rows are therefore split evenly into
     blocks of at most ``rows >= 3``, which leaves no 1-row block unless M
     is 1 (an odd M cannot be cut into 2-row blocks). With P * D above
-    65 536 / 3 even 3-row blocks may thread.
+    65 535 / 3 even 3-row blocks may thread.
     """
     m = len(out)
     rows = max(3, _PRODUCT_MAX // max(doppler_ramps.size, 1))
@@ -158,15 +158,23 @@ def _streamed_mean(chunks, n: int) -> float:
     return float(_pairwise(n, lambda size: next(leaf_sums)) / n)
 
 
-def _allocated_power(received: np.ndarray, grid: ResourceGrid):
+def _allocated_power(received: np.ndarray, grid: ResourceGrid, read: np.ndarray):
     """Multiply each block of rows by its transmit symbols, in place, and
-    yield the block's allocated |received|^2 in row-major order."""
+    yield the block's |received|^2 where ``read`` is set, in row-major order.
+
+    A fully read block yields one reused buffer, valid until the next block
+    is asked for; the last block's symbols are released before the next
+    block's are looked up."""
+    buffer = np.empty(_BLOCK_ROWS * received.shape[1])
     for rows, tx in grid.symbol_blocks():
         block = received[rows]
         block *= tx
-        power = np.abs(block)
+        del tx
+        power = buffer[: block.size].reshape(block.shape)
+        np.abs(block, out=power)
         power *= power
-        yield power[grid.codes[rows] >= 0]
+        mask = read[rows]
+        yield power.reshape(-1) if mask.all() else power[mask]
 
 
 def apply_channel(
@@ -181,11 +189,14 @@ def apply_channel(
     mean power of the noiseless received signal over allocated elements;
     ``None`` disables noise. Noise is seeded with ``rng_seed``, anything
     ``np.random.default_rng`` takes (a run passes ``seed_words(seed, "noise",
-    tx, rx)``), and added to every element: one M x D standard-normal stream
-    for the real parts, then one for the imaginary parts, each in row-major
-    order. Both the calibration and the noise go through the grid a block of
-    rows at a time, so the received grid is the only full-size array. Noise
-    on a grid without an allocated element raises EmptyReference.
+    tx, rx)``), and added to the allocated elements only, the ones an
+    estimate against ``grid`` divides by: one standard-normal stream for
+    their real parts, then one for their imaginary parts, each in row-major
+    order. On a fully allocated grid that is one M x D stream each. Every
+    other element stays noise-free. Both the calibration and the noise go
+    through the grid a block of rows at a time, so the received grid and
+    the bool mask of allocated elements are the only full-size arrays.
+    Noise on a grid without an allocated element raises EmptyReference.
     """
     received = channel_response(grid.numerology, paths)
     if noise_snr_db is None:
@@ -193,21 +204,26 @@ def apply_channel(
             received[rows] *= tx
         return SymbolFrame(symbols=received, numerology=grid.numerology)
 
-    allocated = int(np.count_nonzero(grid.codes >= 0))
+    read = grid.codes >= 0
+    allocated = int(np.count_nonzero(read))
     if allocated == 0:
         raise EmptyReference("cannot calibrate noise on a grid with no allocated element")
-    signal_power = _streamed_mean(_allocated_power(received, grid), allocated)
+    signal_power = _streamed_mean(_allocated_power(received, grid, read), allocated)
     noise_power = signal_power * 10.0 ** (-noise_snr_db / 10.0)
     rng = np.random.default_rng(rng_seed)
     scale = np.sqrt(noise_power / 2.0)
     # A generator's draws into consecutive blocks are its one-shot draw.
-    block = np.empty((_BLOCK_ROWS, received.shape[1]))
+    block = np.empty(_BLOCK_ROWS * received.shape[1])
     for part in (received.real, received.imag):
         for r0 in range(0, len(part), _BLOCK_ROWS):
-            target = part[r0 : r0 + _BLOCK_ROWS]
-            noise = block[: len(target)]
+            rows = slice(r0, r0 + _BLOCK_ROWS)
+            target, mask = part[rows], read[rows]
+            noise = block[: np.count_nonzero(mask)]
             rng.standard_normal(out=noise)
             noise *= scale
-            target += noise
+            if noise.size == target.size:  # every element read: no gather
+                target += noise.reshape(target.shape)
+            else:
+                target[mask] += noise
 
     return SymbolFrame(symbols=received, numerology=grid.numerology)

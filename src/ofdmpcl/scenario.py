@@ -26,6 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from . import dsp
 from . import grid as _grid
 from .channel import apply_channel, check_path
 from .detect import CfarConfig, cfar_detect, suppress_clutter
@@ -438,8 +439,10 @@ def _run_pair(scenario: Scenario, scene: Scene, grid: ResourceGrid, pair_spec: P
               out: Path) -> PairResult:
     """One Tx/Rx pair through the chain, writing its map and detection CSV.
 
-    The frame that apply_channel returns is the pair's one complex working
-    grid: the estimate, the impulse response and the spreading function each
+    ``grid`` is both the transmit grid and the estimate's reference, so the
+    noise goes on exactly the elements the estimate divides by. The frame
+    that apply_channel returns is the pair's one complex working grid: the
+    estimate, the impulse response and the spreading function each
     overwrite it in place, the float32 map fills its first M * D floats, and
     the notch zeroes that map in place. Each stage's input is released as
     soon as the next stage returns."""
@@ -448,7 +451,7 @@ def _run_pair(scenario: Scenario, scene: Scene, grid: ResourceGrid, pair_spec: P
     frame = apply_channel(grid, paths, scenario.snr_db,
                           seed_words(scenario.seed, "noise", pair_spec.tx, pair_spec.rx))
     work = frame.symbols
-    est = estimate_channel(frame, grid, user_id=scenario.process_user, out=work)
+    est = estimate_channel(frame, grid, out=work)
     del frame
     cir = delay_transform(est, window=scenario.delay_window, out=est.h)
     del est
@@ -504,6 +507,10 @@ def run_scenario(scenario: Scenario, out_dir=None, seed=None, log=None) -> RunRe
         los_excess_db=scenario.los_excess_db,
     )
     grid = build_grid(scenario.numerology, _allocations_from_spec(scenario), scenario.seed)
+    if scenario.process_user is not None:
+        # Uplink rule: every pair measures the processed user's elements
+        # only. Called through the dsp module, the name a tracer rebinds.
+        grid = dsp.user_subgrid(grid, scenario.process_user)
 
     fastest = max(
         (float(distance(n.velocity)) for n in scenario.nodes if n.kind == "target"),

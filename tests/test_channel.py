@@ -14,6 +14,7 @@ from ofdmpcl import (
     channel_response,
     full_allocation,
     random_allocation,
+    user_subgrid,
 )
 from ofdmpcl import channel
 from oracles import channel_response_sum, time_domain_receive
@@ -187,18 +188,62 @@ def test_noise_on_a_grid_without_allocation_is_an_empty_reference():
         apply_channel(grid, [path()], noise_snr_db=10.0, rng_seed=0)
 
 
+def _noise_scale(received, mask, snr_db):
+    signal_power = float(np.mean(np.abs(received[mask]) ** 2))
+    return np.sqrt(signal_power * 10.0 ** (-snr_db / 10.0) / 2.0)
+
+
 def test_noisy_frame_matches_the_masked_mean_calibration():
-    # A random allocation, so the mean runs over a strict subset of elements.
+    # A random allocation, so the mean runs over a strict subset of elements
+    # and the noise goes on that subset only.
     grid = build_grid(NUM, random_allocation(NUM, "u0", 0.5, seed=4), rng_seed=2)
     paths = [path(gain=0.7 - 0.1j), path(3 * NUM.delay_bin_s, 150.0, 0.2 + 0.1j)]
     frame = apply_channel(grid, paths, noise_snr_db=12.0, rng_seed=9)
     received = channel_response(NUM, paths) * grid.symbols
-    signal_power = float(np.mean(np.abs(received[grid.codes >= 0]) ** 2))
-    scale = np.sqrt(signal_power * 10.0 ** (-12.0 / 10.0) / 2.0)
+    mask = grid.codes >= 0
+    n = int(np.count_nonzero(mask))
+    assert 0 < n < mask.size
+    scale = _noise_scale(received, mask, 12.0)
+    rng = np.random.default_rng(9)
+    received.real[mask] += rng.standard_normal(n) * scale
+    received.imag[mask] += rng.standard_normal(n) * scale
+    assert np.array_equal(frame.symbols, received)
+
+
+def test_full_grid_noise_is_one_stream_over_every_element():
+    """On a fully allocated grid the noise is one M x D stream for the real
+    parts, then one for the imaginary parts, as when every element got noise
+    whether read or not. 72 rows are a whole 64-row block and a part."""
+    grid = make_grid(seed=3)
+    assert np.all(grid.codes >= 0)
+    paths = [path(gain=0.7 - 0.1j), path(3 * NUM.delay_bin_s, 150.0, 0.2 + 0.1j)]
+    frame = apply_channel(grid, paths, noise_snr_db=12.0, rng_seed=9)
+    received = channel_response(NUM, paths) * grid.symbols
+    scale = _noise_scale(received, grid.codes >= 0, 12.0)
     rng = np.random.default_rng(9)
     received.real += rng.standard_normal(received.shape) * scale
     received.imag += rng.standard_normal(received.shape) * scale
-    assert np.array_equal(frame.symbols, received)
+    assert frame.symbols.tobytes() == received.tobytes()
+
+
+def test_a_frame_depends_only_on_the_elements_its_estimate_reads():
+    """A user's subgrid of a three-user grid and a grid built from that
+    user's tiles alone give the same noisy frame, bit for bit, and it is
+    exactly zero off the user's elements. 150 x 30 leaves carriers and
+    symbols past the last whole PRB, and a partial 64-row block."""
+    num = Numerology(num_carriers=150, symbols_per_frame=30)
+    rng = np.random.default_rng(6)
+    cells = [(row, col, col + 1) for row in range(num.prb_rows) for col in range(num.prb_cols)]
+    owners = rng.integers(0, 3, len(cells))
+    tiles = {f"u{k}": [cell for cell, owner in zip(cells, owners) if owner == k]
+             for k in range(3)}
+    paths = [path(gain=0.7 - 0.1j), path(3 * num.delay_bin_s, 150.0, 0.2 + 0.1j)]
+    sub = user_subgrid(build_grid(num, tiles, rng_seed=5), "u1")
+    alone = build_grid(num, {"u1": tiles["u1"]}, rng_seed=5)
+    frame = apply_channel(sub, paths, noise_snr_db=12.0, rng_seed=9)
+    assert frame.symbols.tobytes() == apply_channel(alone, paths, 12.0, 9).symbols.tobytes()
+    assert np.all(frame.symbols[sub.codes < 0] == 0)
+    assert np.all(frame.symbols[sub.codes >= 0] != 0)
 
 
 @pytest.mark.parametrize("leaf", [4096, 200, 65536])
@@ -288,8 +333,8 @@ def test_channel_product_calls_stay_below_the_threading_bound(
         calls.append((a.shape, b.shape))
         return matmul(a, b, out=out)
 
-    # OpenBLAS 0.3.31 threads a complex GEMM above 65 536 rows * P * D.
-    assert channel._PRODUCT_MAX <= 65_536 // 4
+    # OpenBLAS 0.3.31 threads a complex GEMM from 65 536 rows * P * D on.
+    assert channel._PRODUCT_MAX < 65_536
     monkeypatch.setattr(np, "matmul", recording_matmul)
     channel_response(num, path_set)
     assert sum(rows for (rows, _), _ in calls) == carriers
