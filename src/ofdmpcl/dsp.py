@@ -21,6 +21,7 @@ import numpy as np
 from .channel import SymbolFrame
 from .errors import DimensionMismatch, EmptyReference
 from .geometry import SPEED_OF_LIGHT
+# user_subgrid: run_scenario calls it as dsp.user_subgrid, the name perfbench's tracer rebinds.
 from .grid import Numerology, ResourceGrid, user_subgrid
 
 # Most rows per block of the slow-time transform and the map: small enough
@@ -99,20 +100,16 @@ def _out_array(out: np.ndarray | None, shape: tuple, dtype) -> np.ndarray:
 
 
 def estimate_channel(
-    rx: SymbolFrame, ref: ResourceGrid, user_id: str | None = None,
-    out: np.ndarray | None = None,
+    rx: SymbolFrame, ref: ResourceGrid, out: np.ndarray | None = None
 ) -> ChannelEstimate:
     """Symbol-wise inverse filtering of the received frame.
 
-    Divides received by transmitted on every allocated element and zeroes the
-    others; for unit-modulus references this equals conjugate multiplication.
-    With ``user_id`` the reference is first restricted to that user's
-    elements (uplink rule: each user's allocation is its own measurement).
+    Divides received by transmitted on every element ``ref`` allocates and
+    zeroes the others; for unit-modulus references this equals conjugate
+    multiplication. One user's elements are that user's ``user_subgrid``.
     ``out``, of the received symbols' shape and dtype, receives the estimate
     instead of a new array; it may be ``rx.symbols`` itself.
     """
-    if user_id is not None:
-        ref = user_subgrid(ref, user_id)
     if rx.symbols.shape != ref.codes.shape:
         raise DimensionMismatch(f"received {rx.symbols.shape} vs reference {ref.codes.shape}")
     if rx.numerology != ref.numerology:

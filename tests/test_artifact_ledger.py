@@ -1,10 +1,11 @@
-"""Every artifact of the bundled scenarios against a committed ledger.
+"""Every artifact of the bundled scenarios and a few variants against a committed ledger.
 
 ``artifact_ledger.json`` holds the SHA-256 of every file a run of each
-bundled scenario writes, but the manifest (which records a time), and the
-numpy version the digests were made with. Artifact bytes are set by the
-seed and the numpy version, so the test runs only under that version. A
-change that moves artifact bytes on purpose rewrites the ledger with
+bundled scenario, and of each variant in ``VARIANTS``, writes, but the
+manifest (which records a time), and the numpy version the digests were
+made with. Artifact bytes are set by the seed and the numpy version, so the
+test runs only under that version. A change that moves artifact bytes on
+purpose rewrites the ledger with
 
     PYTHONPATH=src python tests/test_artifact_ledger.py
 
@@ -20,16 +21,37 @@ import numpy as np
 import pytest
 
 from ofdmpcl import load_scenario, run_scenario
-from ofdmpcl.scenario import bundled_scenario_path
+from ofdmpcl.scenario import bundled_scenario_path, scenario_from_dict
 
 LEDGER_PATH = Path(__file__).with_name("artifact_ledger.json")
 LEDGER = json.loads(LEDGER_PATH.read_text())
 BUNDLED = sorted(path.stem for path in bundled_scenario_path("").parent.glob("*.json"))
 
+# The fig4_analog document at 600 carriers, changed in the fields that take
+# the chain down the paths the bundled scenarios leave out: noise on a
+# partial allocation, no noise, and a spectrum in a strided view.
+VARIANTS = {
+    "fig4_600_random_hann": {
+        "allocation": {"type": "random", "user": "u0", "density": 0.5, "seed": 3},
+        "delay_window": "hann", "doppler_window": "hann",
+    },
+    "fig4_600_noise_free": {"snr_db": None},
+    "fig4_600_doppler_window_100": {"doppler_window_symbols": 100},
+}
+
+
+def scenario(name: str):
+    """The bundled scenario ``name``, or the fig4_analog variant of that name."""
+    if name not in VARIANTS:
+        return load_scenario(name)
+    doc = json.loads(bundled_scenario_path("fig4_analog").read_text())
+    doc["numerology"]["num_carriers"] = 600
+    return scenario_from_dict({**doc, **VARIANTS[name]})
+
 
 def artifact_digests(name: str, out: Path) -> dict:
     """SHA-256 of every file but the manifest that a run of ``name`` writes to ``out``."""
-    run_scenario(load_scenario(name), out_dir=out, log=lambda msg: None)
+    run_scenario(scenario(name), out_dir=out, log=lambda msg: None)
     return {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
             for path in sorted(out.iterdir()) if path.name != "manifest.json"}
 
@@ -42,11 +64,12 @@ def test_bundled_scenario_artifacts_match_the_ledger(name, tmp_path):
 
 
 def test_the_ledger_covers_every_bundled_scenario():
-    assert sorted(LEDGER["artifacts"]) == BUNDLED
+    assert sorted(LEDGER["artifacts"]) == sorted(BUNDLED + list(VARIANTS))
 
 
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
-        artifacts = {name: artifact_digests(name, Path(tmp) / name) for name in BUNDLED}
+        artifacts = {name: artifact_digests(name, Path(tmp) / name)
+                     for name in BUNDLED + list(VARIANTS)}
     LEDGER_PATH.write_text(json.dumps({"numpy": np.__version__, "artifacts": artifacts},
                                       indent=2, sort_keys=True) + "\n")

@@ -20,12 +20,17 @@ from ofdmpcl import (
     run_scenario,
     scattering_map,
     suppress_clutter,
+    user_subgrid,
     write_map,
 )
 from ofdmpcl import channel
 
 NUM = Numerology(num_carriers=60, symbols_per_frame=28, cp_fraction=0.25)
 USERS = {"u0": [(0, 0, 2), (3, 2, 4)], "u1": [(1, 0, 4), (2, 0, 4)]}
+# The estimate's reference: the whole grid, or user u1's elements of it.
+REFERENCES = pytest.mark.parametrize(
+    "reference", [lambda grid: grid, lambda grid: user_subgrid(grid, "u1")], ids=["None", "u1"]
+)
 
 
 def _leaves(obj):
@@ -59,15 +64,16 @@ def unchanged(call, *inputs):
 
 
 @pytest.mark.parametrize("window", ["rect", "hann"])
-@pytest.mark.parametrize("user_id", [None, "u1"])
-def test_chain_stages_do_not_mutate_their_inputs(tmp_path, window, user_id):
+@REFERENCES
+def test_chain_stages_do_not_mutate_their_inputs(tmp_path, window, reference):
     grid = build_grid(NUM, USERS, rng_seed=3)
+    ref = reference(grid)
     paths = [
         Path(delay_s=0.0, doppler_hz=0.0, gain=1.0 + 0j, kind="los"),
         Path(delay_s=2 * NUM.delay_bin_s, doppler_hz=40.0, gain=0.5 - 0.2j, kind="target"),
     ]
     frame = unchanged(lambda: apply_channel(grid, paths, 15.0, 7), grid, paths)
-    est = unchanged(lambda: estimate_channel(frame, grid, user_id=user_id), frame, grid)
+    est = unchanged(lambda: estimate_channel(frame, ref), frame, ref)
     cir = unchanged(lambda: delay_transform(est, window=window), est)
     for num_symbols in (20, 27):  # even and odd Doppler windows
         sf = unchanged(lambda: doppler_transform(cir, window=window, num_symbols=num_symbols),
@@ -98,8 +104,8 @@ def _frame(num, dtype):
 
 @pytest.mark.parametrize("window", ["rect", "hann"])
 @pytest.mark.parametrize("dtype", [np.complex128, np.complex64])
-@pytest.mark.parametrize("user_id", [None, "u1"])
-def test_stages_write_into_out_what_they_would_return(window, dtype, user_id):
+@REFERENCES
+def test_stages_write_into_out_what_they_would_return(window, dtype, reference):
     """Each stage with ``out`` set, chained in place through the frame's own
     array where the dtypes allow it, gives the default call's result bitwise."""
     # 60 carriers run the Doppler transform in 3-row blocks, 1027 in 64-row
@@ -107,12 +113,13 @@ def test_stages_write_into_out_what_they_would_return(window, dtype, user_id):
     for m, d, num_symbols in ((60, 28, None), (60, 27, 20), (60, 27, None), (1027, 28, 21)):
         num = Numerology(num_carriers=m, symbols_per_frame=d, cp_fraction=0.25)
         grid, frame = _frame(num, dtype)
-        est = estimate_channel(frame, grid, user_id=user_id)
+        ref = reference(grid)
+        est = estimate_channel(frame, ref)
         cir = delay_transform(est, window=window)
         sf = doppler_transform(cir, window=window, num_symbols=num_symbols)
 
         out = frame.symbols
-        got_est = estimate_channel(frame, grid, user_id=user_id, out=out)
+        got_est = estimate_channel(frame, ref, out=out)
         assert np.shares_memory(got_est.h, out)
         assert _bits(got_est.h) == _bits(est.h)
         assert np.array_equal(got_est.valid_mask, est.valid_mask)
@@ -254,8 +261,7 @@ def test_run_scenario_peak_memory_stays_near_one_grid(tmp_path, traced_working_g
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        bound = 1.4 if name == "process_user" else 1.3
-        assert peak <= bound * grid_bytes, f"{name}: peak {peak / grid_bytes:.2f} complex grids"
+        assert peak <= 1.3 * grid_bytes, f"{name}: peak {peak / grid_bytes:.2f} complex grids"
 
 
 def test_run_scenario_leaves_no_array_for_the_cyclic_gc(tmp_path, traced_working_grid):

@@ -74,7 +74,7 @@ def test_per_user_estimates_partition_full_grid_support():
     full = estimate_channel(frame, grid)
     union = np.zeros_like(full.valid_mask)
     for uid in grid.users:
-        per_user = estimate_channel(frame, grid, user_id=uid)
+        per_user = estimate_channel(frame, user_subgrid(grid, uid))
         assert not np.any(union & per_user.valid_mask)
         union |= per_user.valid_mask
         np.testing.assert_array_equal(
@@ -99,7 +99,7 @@ def test_estimate_empty_reference():
         grid, [Path(0.0, 0.0, 1.0, "target")], noise_snr_db=None, rng_seed=0
     )
     with pytest.raises(EmptyReference):
-        estimate_channel(frame, grid, user_id="ghost")
+        estimate_channel(frame, user_subgrid(grid, "ghost"))
 
 
 def test_on_grid_delay_peaks_at_that_bin_every_symbol():
@@ -131,17 +131,17 @@ def test_off_grid_delay_leaks_as_squared_dirichlet_kernel():
 
 
 def test_sparse_user_grid_degrades_peak_to_sidelobe_ratio():
-    def pslr_db(grid, user_id=None):
+    def pslr_db(grid):
         path = Path(6.5 * NUM.delay_bin_s, 0.0, 1.0, "target")
         frame = apply_channel(grid, [path], noise_snr_db=None, rng_seed=0)
-        est = estimate_channel(frame, grid, user_id=user_id)
+        est = estimate_channel(frame, grid)
         pdp = np.mean(np.abs(delay_transform(est).h) ** 2, axis=1)
         peak_bin = int(np.argmax(pdp))
         sidelobes = np.delete(pdp, range(peak_bin - 2, peak_bin + 3))
         return 10 * np.log10(pdp[peak_bin] / sidelobes.max())
 
     full = pslr_db(build_grid(NUM, full_allocation(NUM), rng_seed=1))
-    sparse = pslr_db(build_grid(NUM, THREE_USERS, rng_seed=1), user_id="u1")
+    sparse = pslr_db(user_subgrid(build_grid(NUM, THREE_USERS, rng_seed=1), "u1"))
     assert sparse < full - 1.0
 
 
