@@ -123,60 +123,6 @@ def _ramp_product(delay_ramps: np.ndarray, doppler_ramps: np.ndarray,
     return out
 
 
-# Most values per leaf of _streamed_mean: one leaf buffer of them stays small.
-_SUM_LEAF = 4096
-
-
-def _pairwise(n: int, leaf):
-    """numpy's pairwise split of n values: halve at ``n // 2`` rounded down
-    to a multiple of 8 until a part holds at most _SUM_LEAF values, call
-    ``leaf(size)`` on each part in order, and add the results up the tree."""
-    if n <= _SUM_LEAF:
-        return leaf(n)
-    half = n // 2 - (n // 2) % 8
-    return _pairwise(half, leaf) + _pairwise(n - half, leaf)
-
-
-def _streamed_mean(chunks, n: int) -> float:
-    """``np.mean`` of the n >= 1 float64 values that the 1-D arrays in
-    ``chunks`` hold in turn, bit for bit: each leaf of _pairwise is gathered
-    in one small buffer and summed by ``np.add.reduce``, which splits it on
-    as np.mean would, and the leaf sums are added up the same tree."""
-    sizes = _pairwise(n, lambda size: [size])
-    leaf = np.empty(max(sizes))
-    sums, filled = [], 0
-    for chunk in chunks:
-        while chunk.size:
-            take = min(sizes[len(sums)] - filled, chunk.size)
-            leaf[filled : filled + take] = chunk[:take]
-            filled += take
-            chunk = chunk[take:]
-            if filled == sizes[len(sums)]:
-                sums.append(np.add.reduce(leaf[:filled]))
-                filled = 0
-    leaf_sums = iter(sums)
-    return float(_pairwise(n, lambda size: next(leaf_sums)) / n)
-
-
-def _allocated_power(received: np.ndarray, grid: ResourceGrid, read: np.ndarray):
-    """Multiply each block of rows by its transmit symbols, in place, and
-    yield the block's |received|^2 where ``read`` is set, in row-major order.
-
-    A fully read block yields one reused buffer, valid until the next block
-    is asked for; the last block's symbols are released before the next
-    block's are looked up."""
-    buffer = np.empty(_BLOCK_ROWS * received.shape[1])
-    for rows, tx in grid.symbol_blocks():
-        block = received[rows]
-        block *= tx
-        del tx
-        power = buffer[: block.size].reshape(block.shape)
-        np.abs(block, out=power)
-        power *= power
-        mask = read[rows]
-        yield power.reshape(-1) if mask.all() else power[mask]
-
-
 def apply_channel(
     grid: ResourceGrid,
     paths: list[Path],
@@ -195,30 +141,43 @@ def apply_channel(
     order. On a fully allocated grid that is one M x D stream each. Every
     other element stays noise-free. Both the calibration and the noise go
     through the grid a block of rows at a time, so the received grid and
-    the bool mask of allocated elements are the only full-size arrays.
-    Noise on a grid without an allocated element raises EmptyReference.
+    the bool mask of allocated elements are the only full-size arrays. The
+    mean signal power is the float64 sum, block by block in row order, of
+    each 64-row block's ``np.add.reduce`` over its allocated |received|^2,
+    divided by their count. Noise on a grid without an allocated element
+    raises EmptyReference.
     """
     received = channel_response(grid.numerology, paths)
-    if noise_snr_db is None:
-        for rows, tx in grid.symbol_blocks():
-            received[rows] *= tx
+    noisy = noise_snr_db is not None
+    if noisy:
+        read = grid.codes >= 0
+        allocated = int(np.count_nonzero(read))
+        if allocated == 0:
+            raise EmptyReference("cannot calibrate noise on a grid with no allocated element")
+        # One reused buffer: each block's |received|^2, then each block's noise.
+        buffer = np.empty(_BLOCK_ROWS * received.shape[1])
+        total = 0.0
+    for rows, tx in grid.symbol_blocks():
+        block = received[rows]
+        block *= tx
+        del tx  # released before the next block's symbols are looked up
+        if noisy:
+            power = buffer[: block.size].reshape(block.shape)
+            np.abs(block, out=power)
+            power *= power
+            total += np.add.reduce(power[read[rows]])
+    if not noisy:
         return SymbolFrame(symbols=received, numerology=grid.numerology)
 
-    read = grid.codes >= 0
-    allocated = int(np.count_nonzero(read))
-    if allocated == 0:
-        raise EmptyReference("cannot calibrate noise on a grid with no allocated element")
-    signal_power = _streamed_mean(_allocated_power(received, grid, read), allocated)
-    noise_power = signal_power * 10.0 ** (-noise_snr_db / 10.0)
+    noise_power = total / allocated * 10.0 ** (-noise_snr_db / 10.0)
     rng = np.random.default_rng(rng_seed)
     scale = np.sqrt(noise_power / 2.0)
     # A generator's draws into consecutive blocks are its one-shot draw.
-    block = np.empty(_BLOCK_ROWS * received.shape[1])
     for part in (received.real, received.imag):
         for r0 in range(0, len(part), _BLOCK_ROWS):
             rows = slice(r0, r0 + _BLOCK_ROWS)
             target, mask = part[rows], read[rows]
-            noise = block[: np.count_nonzero(mask)]
+            noise = buffer[: np.count_nonzero(mask)]
             rng.standard_normal(out=noise)
             noise *= scale
             if noise.size == target.size:  # every element read: no gather

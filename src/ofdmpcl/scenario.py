@@ -492,9 +492,10 @@ def run_scenario(scenario: Scenario, out_dir=None, seed=None, log=None) -> RunRe
     directory.
     """
     if seed is not None:
-        if seed < 0:
-            raise ScenarioError([f"at $.seed: seed override {seed} must be >= 0"])
-        scenario = dataclasses.replace(scenario, seed=int(seed))
+        problem = _problem(seed, *_SCENARIO["seed"])
+        if problem:
+            raise ScenarioError([f"at $.seed: seed override {seed!r}: {problem}"])
+        scenario = dataclasses.replace(scenario, seed=seed)
     log = log or (lambda msg: print(msg, file=sys.stderr))
 
     out = Path(out_dir) if out_dir is not None else Path(scenario.output_dir)

@@ -1,11 +1,11 @@
-"""Every artifact of the bundled scenarios and a few variants against a committed ledger.
+"""Every artifact of the bundled scenarios and a few more scenes against a committed ledger.
 
 ``artifact_ledger.json`` holds the SHA-256 of every file a run of each
-bundled scenario, and of each variant in ``VARIANTS``, writes, but the
-manifest (which records a time), and the numpy version the digests were
-made with. Artifact bytes are set by the seed and the numpy version, so the
-test runs only under that version. A change that moves artifact bytes on
-purpose rewrites the ledger with
+bundled scenario, of each variant in ``VARIANTS`` and of each document in
+``ledger_scenes/`` writes, but the manifest (which records a time), and the
+numpy version the digests were made with. Artifact bytes are set by the
+seed and the numpy version, so the test runs only under that version. A
+change that moves artifact bytes on purpose rewrites the ledger with
 
     PYTHONPATH=src python tests/test_artifact_ledger.py
 
@@ -38,10 +38,17 @@ VARIANTS = {
     "fig4_600_noise_free": {"snr_db": None},
     "fig4_600_doppler_window_100": {"doppler_window_symbols": 100},
 }
+# The first scene of each scene workload of perfbench/workloads.py at
+# benchmark seed 1, named after it: fig4_docs(1, 3)[0], sparse_docs(1, 1)[0]
+# and uplink_docs(1, 1)[0]. A full-size fig4_analog at another seed, a
+# 0.5-density random allocation and a process_user run on banded users.
+SCENES = {path.stem: path for path in Path(__file__).with_name("ledger_scenes").glob("*.json")}
 
 
 def scenario(name: str):
-    """The bundled scenario ``name``, or the fig4_analog variant of that name."""
+    """The bundled scenario ``name``, or the variant or scene of that name."""
+    if name in SCENES:
+        return scenario_from_dict(json.loads(SCENES[name].read_text()), name)
     if name not in VARIANTS:
         return load_scenario(name)
     doc = json.loads(bundled_scenario_path("fig4_analog").read_text())
@@ -64,12 +71,12 @@ def test_bundled_scenario_artifacts_match_the_ledger(name, tmp_path):
 
 
 def test_the_ledger_covers_every_bundled_scenario():
-    assert sorted(LEDGER["artifacts"]) == sorted(BUNDLED + list(VARIANTS))
+    assert sorted(LEDGER["artifacts"]) == sorted(BUNDLED + list(VARIANTS) + list(SCENES))
 
 
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         artifacts = {name: artifact_digests(name, Path(tmp) / name)
-                     for name in BUNDLED + list(VARIANTS)}
+                     for name in BUNDLED + list(VARIANTS) + list(SCENES)}
     LEDGER_PATH.write_text(json.dumps({"numpy": np.__version__, "artifacts": artifacts},
                                       indent=2, sort_keys=True) + "\n")

@@ -189,21 +189,32 @@ def test_noise_on_a_grid_without_allocation_is_an_empty_reference():
 
 
 def _noise_scale(received, mask, snr_db):
-    signal_power = float(np.mean(np.abs(received[mask]) ** 2))
+    """The calibration rule: the float64 sum of each 64-row block's read
+    |received|^2, added in row order, over the read count."""
+    total = 0.0
+    for r0 in range(0, len(received), 64):
+        rows = slice(r0, r0 + 64)
+        total += (np.abs(received[rows][mask[rows]]) ** 2).sum()
+    signal_power = total / np.count_nonzero(mask)
     return np.sqrt(signal_power * 10.0 ** (-snr_db / 10.0) / 2.0)
 
 
 def test_noisy_frame_matches_the_masked_mean_calibration():
-    # A random allocation, so the mean runs over a strict subset of elements
-    # and the noise goes on that subset only.
-    grid = build_grid(NUM, random_allocation(NUM, "u0", 0.5, seed=4), rng_seed=2)
-    paths = [path(gain=0.7 - 0.1j), path(3 * NUM.delay_bin_s, 150.0, 0.2 + 0.1j)]
+    """A random allocation, so the calibration runs over a strict subset of
+    elements and the noise goes on that subset only. 150 rows are two whole
+    64-row blocks and a part, on which the block sums' bits differ from
+    np.mean's."""
+    num = Numerology(num_carriers=150, symbols_per_frame=28)
+    grid = build_grid(num, random_allocation(num, "u0", 0.5, seed=3), rng_seed=2)
+    paths = [path(gain=0.7 - 0.1j), path(3 * num.delay_bin_s, 150.0, 0.2 + 0.1j)]
     frame = apply_channel(grid, paths, noise_snr_db=12.0, rng_seed=9)
-    received = channel_response(NUM, paths) * grid.symbols
+    received = channel_response(num, paths) * grid.symbols
     mask = grid.codes >= 0
     n = int(np.count_nonzero(mask))
     assert 0 < n < mask.size
     scale = _noise_scale(received, mask, 12.0)
+    mean_power = np.mean(np.abs(received[mask]) ** 2)
+    assert scale != np.sqrt(mean_power * 10.0 ** (-12.0 / 10.0) / 2.0)
     rng = np.random.default_rng(9)
     received.real[mask] += rng.standard_normal(n) * scale
     received.imag[mask] += rng.standard_normal(n) * scale
@@ -244,32 +255,6 @@ def test_a_frame_depends_only_on_the_elements_its_estimate_reads():
     assert frame.symbols.tobytes() == apply_channel(alone, paths, 12.0, 9).symbols.tobytes()
     assert np.all(frame.symbols[sub.codes < 0] == 0)
     assert np.all(frame.symbols[sub.codes >= 0] != 0)
-
-
-@pytest.mark.parametrize("leaf", [4096, 200, 65536])
-def test_streamed_mean_is_np_mean_bitwise(leaf, monkeypatch):
-    """The calibration mean, summed leaf by leaf from chunks, is np.mean of
-    the joined values, around every leaf boundary and up to 2e6 values.
-
-    It follows numpy's own pairwise split, so a numpy that splits elsewhere
-    fails here; 200 and 65536 are leaf sizes other than the module's, run on
-    up to 64 leaves.
-    """
-    assert channel._SUM_LEAF == 4096
-    monkeypatch.setattr(channel, "_SUM_LEAF", leaf)
-    most = 2_000_000 if leaf == 4096 else min(2_000_000, 64 * leaf)
-    rng = np.random.default_rng(leaf)
-    values = rng.exponential(size=most) * 10.0 ** rng.uniform(-6.0, 6.0, most)
-    # Chunks of 1 to 3 * leaf values, so they straddle the leaves in every way.
-    cuts = np.cumsum(rng.integers(1, 3 * leaf, most // leaf))
-    sizes = {1, 7, 8, 9, 127, 128, 129, most - 1, most}
-    for k in range(most.bit_length()):
-        if leaf << k <= most:
-            sizes |= {(leaf << k) + delta for delta in (-9, -8, -1, 0, 1, 8, 9, 17)}
-    for n in sorted(n for n in sizes if n <= most):
-        x = values[:n]
-        chunks = np.split(x, cuts[cuts < n])
-        assert channel._streamed_mean(chunks, n) == np.mean(x), n
 
 
 def test_large_working_grids_live_in_their_own_memory_map(monkeypatch):

@@ -436,6 +436,16 @@ def test_seed_override_leaves_callers_scenario_alone(tmp_path):
     assert json.loads(result.manifest_file.read_text())["seed"] == 77
 
 
+@pytest.mark.parametrize("seed", [2.7, True, "3", -1])
+def test_seed_override_follows_the_schema_seed_rule(tmp_path, seed):
+    """An override is an int, not a bool, and >= 0, as the document's seed is."""
+    scenario = load_scenario(write_scenario(tmp_path, mini_scenario()))
+    with pytest.raises(ScenarioError) as excinfo:
+        run_scenario(scenario, out_dir=tmp_path / "out", seed=seed, log=lambda m: None)
+    assert excinfo.value.messages[0].startswith("at $.seed: ")
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_beyond_narrowband_exits_2_without_traceback(tmp_path, capsys):
     doc = mini_scenario()
     doc["nodes"][3]["velocity_mps"] = [4e5, 0.0]
