@@ -15,7 +15,6 @@ start t0 rotates each gain by exp(j 2 pi doppler t0).
 
 from __future__ import annotations
 
-import mmap
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,11 +27,6 @@ from .grid import _BLOCK_ROWS, Numerology, ResourceGrid
 # phase approximation.
 MAX_DOPPLER_SYMBOL_PRODUCT = 0.1
 
-# Working grids of at least this many bytes get their own memory map; numpy
-# asks for huge pages from the same size on.
-_MAP_MIN_BYTES = 1 << 22
-# Private pages where the platform has the flag; Windows maps them privately.
-_MAP_OPTIONS = {"flags": mmap.MAP_PRIVATE} if hasattr(mmap, "MAP_PRIVATE") else {}
 # Most rows * P * D in one call of channel_response's product: one less than
 # the 65 536 from which OpenBLAS threads a complex GEMM.
 _PRODUCT_MAX = 65_535
@@ -57,34 +51,30 @@ def check_path(numerology: Numerology, delay_s: float, doppler_hz: float) -> Non
             f"for symbol duration {numerology.symbol_duration_s:.2e} s")
 
 
-def _working_grid(rows: int, cols: int) -> np.ndarray:
-    """An uninitialised complex128 array for a pair's working grid.
+def _out_array(out: np.ndarray | None, shape: tuple, dtype) -> np.ndarray:
+    """A new zeroed array, or ``out`` once its shape and dtype match that array's.
 
-    From _MAP_MIN_BYTES on it lives in its own anonymous memory map, which
-    goes back to the OS when the array is released. malloc serves such grids
-    from its heap once a freed one has raised glibc's mmap threshold, and
-    the benchmark's peak RSS then moved by 7 MB with the heap's layout
-    between runs of the same code. tracemalloc does not see the map. A
-    smaller grid comes from numpy: faulting in fresh pages for each pair
-    cost 6% of a 600 x 140 op.
-    """
-    if rows * cols * 16 < _MAP_MIN_BYTES:
-        return np.empty((rows, cols), dtype=np.complex128)
-    buffer = mmap.mmap(-1, rows * cols * 16, **_MAP_OPTIONS)
-    if hasattr(mmap, "MADV_HUGEPAGE"):  # as numpy asks for its own large arrays
-        buffer.madvise(mmap.MADV_HUGEPAGE)
-    return np.frombuffer(buffer, dtype=np.complex128).reshape(rows, cols)
+    The one check of ``out`` for every stage that takes it, here and in dsp
+    and detect."""
+    if out is None:
+        return np.zeros(shape, dtype=dtype)
+    if out.shape != shape or out.dtype != dtype:
+        raise ValueError(f"out is {out.dtype} {out.shape}, the result is {np.dtype(dtype)} {shape}")
+    return out
 
 
-def channel_response(numerology: Numerology, paths: list[Path]) -> np.ndarray:
+def channel_response(numerology: Numerology, paths: list[Path],
+                     out: np.ndarray | None = None) -> np.ndarray:
     """Per-element channel transfer factor, summed over paths.
 
     Row m sees baseband carrier frequency m * subcarrier_spacing; column d
-    is evaluated at the symbol start time d * symbol_duration. The result
-    is a pair's working grid (_working_grid).
+    is evaluated at the symbol start time d * symbol_duration. ``out``, a
+    complex128 M x D array, receives the result instead of a new array;
+    every element is overwritten, so it may hold anything before.
     """
     m = numerology.num_carriers
     d = numerology.symbols_per_frame
+    out = _out_array(out, (m, d), np.complex128)
     carrier_hz = np.arange(m) * numerology.subcarrier_spacing_hz
     symbol_times = np.arange(d) * numerology.symbol_duration_s
 
@@ -94,9 +84,12 @@ def channel_response(numerology: Numerology, paths: list[Path]) -> np.ndarray:
         check_path(numerology, delay, doppler)
     # Sum of P separable delay x Doppler ramps as one (M x P) @ (P x D) product.
     gains = np.array([path.gain for path in paths], dtype=np.complex128)
-    delay_ramps = np.exp(-2j * np.pi * carrier_hz[:, None] * delays) * gains
+    # In place: the M x P ramps share the run's peak with its working grid.
+    delay_ramps = np.multiply(-2j * np.pi * carrier_hz[:, None], delays)
+    np.exp(delay_ramps, out=delay_ramps)
+    delay_ramps *= gains
     doppler_ramps = np.exp(2j * np.pi * dopplers[:, None] * symbol_times)
-    return _ramp_product(delay_ramps, doppler_ramps, _working_grid(m, d))
+    return _ramp_product(delay_ramps, doppler_ramps, out)
 
 
 def _ramp_product(delay_ramps: np.ndarray, doppler_ramps: np.ndarray,
@@ -128,6 +121,7 @@ def apply_channel(
     paths: list[Path],
     noise_snr_db: float | None,
     rng_seed: int | tuple[int, ...],
+    out: np.ndarray | None = None,
 ) -> SymbolFrame:
     """Propagate a transmit grid through a multipath channel plus noise.
 
@@ -145,9 +139,10 @@ def apply_channel(
     mean signal power is the float64 sum, block by block in row order, of
     each 64-row block's ``np.add.reduce`` over its allocated |received|^2,
     divided by their count. Noise on a grid without an allocated element
-    raises EmptyReference.
+    raises EmptyReference. ``out``, as for ``channel_response``, becomes
+    the frame's symbols; a run passes the one working grid its pairs share.
     """
-    received = channel_response(grid.numerology, paths)
+    received = channel_response(grid.numerology, paths, out=out)
     noisy = noise_snr_db is not None
     if noisy:
         read = grid.codes >= 0

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import SymbolFrame
+from .channel import SymbolFrame, _out_array
 from .errors import DimensionMismatch, EmptyReference
 from .geometry import SPEED_OF_LIGHT
 # user_subgrid: run_scenario calls it as dsp.user_subgrid, the name perfbench's tracer rebinds.
@@ -88,15 +88,6 @@ def _block_rows(m: int) -> int:
     """Rows per block of a pass over m rows: at most 1/16 of them, so the
     block buffer stays small on short maps."""
     return min(_DOPPLER_BLOCK_ROWS, max(1, m // 16))
-
-
-def _out_array(out: np.ndarray | None, shape: tuple, dtype) -> np.ndarray:
-    """A new zeroed array, or ``out`` once its shape and dtype match that array's."""
-    if out is None:
-        return np.zeros(shape, dtype=dtype)
-    if out.shape != shape or out.dtype != dtype:
-        raise ValueError(f"out is {out.dtype} {out.shape}, the result is {np.dtype(dtype)} {shape}")
-    return out
 
 
 def estimate_channel(

@@ -2,10 +2,11 @@
 
 ``artifact_ledger.json`` holds the SHA-256 of every file a run of each
 bundled scenario, of each variant in ``VARIANTS`` and of each document in
-``ledger_scenes/`` writes, but the manifest (which records a time), and the
-numpy version the digests were made with. Artifact bytes are set by the
-seed and the numpy version, so the test runs only under that version. A
-change that moves artifact bytes on purpose rewrites the ledger with
+``ledger_scenes/`` writes, but the manifest (which records a time), and of
+each pair's received frame, plus the numpy version the digests were made
+with. Artifact bytes are set by the seed and the numpy version, so the
+test runs only under that version. A change that moves artifact bytes on
+purpose rewrites the ledger with
 
     PYTHONPATH=src python tests/test_artifact_ledger.py
 
@@ -21,6 +22,7 @@ import numpy as np
 import pytest
 
 from ofdmpcl import load_scenario, run_scenario
+from ofdmpcl import scenario as scenario_module
 from ofdmpcl.scenario import bundled_scenario_path, scenario_from_dict
 
 LEDGER_PATH = Path(__file__).with_name("artifact_ledger.json")
@@ -57,10 +59,30 @@ def scenario(name: str):
 
 
 def artifact_digests(name: str, out: Path) -> dict:
-    """SHA-256 of every file but the manifest that a run of ``name`` writes to ``out``."""
-    run_scenario(scenario(name), out_dir=out, log=lambda msg: None)
-    return {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
-            for path in sorted(out.iterdir()) if path.name != "manifest.json"}
+    """SHA-256 of every file but the manifest that a run of ``name`` writes to
+    ``out``, and of each pair's frame as ``apply_channel`` returns it, its
+    complex128 bytes under ``frame_<tx>_<rx>.complex128``. The frames pin
+    the float64 channel and noise, which the float32 map can round away."""
+    scn = scenario(name)
+    pairs = iter(scn.pairs)
+    frames = {}
+    apply_channel = scenario_module.apply_channel
+
+    def digesting_apply_channel(*args, **kwargs):
+        frame = apply_channel(*args, **kwargs)
+        pair = next(pairs)
+        frames[f"frame_{pair.tx}_{pair.rx}.complex128"] = hashlib.sha256(
+            np.ascontiguousarray(frame.symbols)).hexdigest()
+        return frame
+
+    scenario_module.apply_channel = digesting_apply_channel
+    try:
+        run_scenario(scn, out_dir=out, log=lambda msg: None)
+    finally:
+        scenario_module.apply_channel = apply_channel
+    files = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+             for path in sorted(out.iterdir()) if path.name != "manifest.json"}
+    return {**files, **frames}
 
 
 @pytest.mark.skipif(np.__version__ != LEDGER["numpy"],

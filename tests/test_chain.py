@@ -3,6 +3,7 @@
 import copy
 import dataclasses
 import gc
+import json
 import tracemalloc
 
 import numpy as np
@@ -23,7 +24,7 @@ from ofdmpcl import (
     user_subgrid,
     write_map,
 )
-from ofdmpcl import channel
+from ofdmpcl.scenario import bundled_scenario_path, scenario_from_dict
 
 NUM = Numerology(num_carriers=60, symbols_per_frame=28, cp_fraction=0.25)
 USERS = {"u0": [(0, 0, 2), (3, 2, 4)], "u1": [(1, 0, 4), (2, 0, 4)]}
@@ -63,16 +64,45 @@ def unchanged(call, *inputs):
     return result
 
 
+def _paths(num):
+    return [
+        Path(delay_s=0.0, doppler_hz=0.0, gain=1.0 + 0j, kind="los"),
+        Path(delay_s=2 * num.delay_bin_s, doppler_hz=40.0, gain=0.5 - 0.2j, kind="target"),
+    ]
+
+
+def _bits(a):
+    """dtype, shape and bytes: equal only for bitwise equal arrays."""
+    return a.dtype, a.shape, np.ascontiguousarray(a).tobytes()
+
+
+def channel_into_out(grid, paths):
+    """apply_channel with ``out``: the default call's frame bitwise, written
+    into ``out`` whatever it held before; an ``out`` of the wrong shape or
+    dtype raises ValueError and keeps its bytes."""
+    frame = apply_channel(grid, paths, 15.0, 7)
+    m, d = frame.symbols.shape
+    out = np.full((m, d), 7 - 7j)
+    got = apply_channel(grid, paths, 15.0, 7, out=out)
+    assert got.symbols is out
+    assert _bits(got.symbols) == _bits(frame.symbols)
+    for wrong in (np.full((m, d), 7 - 7j, np.complex64), np.full((m - 1, d), 7 - 7j),
+                  np.full((m, d - 1), 7 - 7j)):
+        before = wrong.copy()
+        with pytest.raises(ValueError, match="out is"):
+            apply_channel(grid, paths, 15.0, 7, out=wrong)
+        assert _bits(wrong) == _bits(before)
+    return got
+
+
 @pytest.mark.parametrize("window", ["rect", "hann"])
 @REFERENCES
 def test_chain_stages_do_not_mutate_their_inputs(tmp_path, window, reference):
     grid = build_grid(NUM, USERS, rng_seed=3)
     ref = reference(grid)
-    paths = [
-        Path(delay_s=0.0, doppler_hz=0.0, gain=1.0 + 0j, kind="los"),
-        Path(delay_s=2 * NUM.delay_bin_s, doppler_hz=40.0, gain=0.5 - 0.2j, kind="target"),
-    ]
+    paths = _paths(NUM)
     frame = unchanged(lambda: apply_channel(grid, paths, 15.0, 7), grid, paths)
+    unchanged(lambda: channel_into_out(grid, paths), grid, paths)
     est = unchanged(lambda: estimate_channel(frame, ref), frame, ref)
     cir = unchanged(lambda: delay_transform(est, window=window), est)
     for num_symbols in (20, 27):  # even and odd Doppler windows
@@ -84,20 +114,11 @@ def test_chain_stages_do_not_mutate_their_inputs(tmp_path, window, reference):
     unchanged(lambda: write_map(tmp_path / "map.bin", smap), smap)
 
 
-def _bits(a):
-    """dtype, shape and bytes: equal only for bitwise equal arrays."""
-    return a.dtype, a.shape, np.ascontiguousarray(a).tobytes()
-
-
 def _frame(num, dtype):
     cols = num.prb_cols
     grid = build_grid(num, {"u0": [(0, 0, 2), (3, 2, cols)], "u1": [(1, 0, cols), (2, 0, cols)]},
                       rng_seed=3)
-    paths = [
-        Path(delay_s=0.0, doppler_hz=0.0, gain=1.0 + 0j, kind="los"),
-        Path(delay_s=2 * num.delay_bin_s, doppler_hz=40.0, gain=0.5 - 0.2j, kind="target"),
-    ]
-    frame = apply_channel(grid, paths, 15.0, 7)
+    frame = apply_channel(grid, _paths(num), 15.0, 7)
     frame.symbols = frame.symbols.astype(dtype)
     return grid, frame
 
@@ -114,6 +135,8 @@ def test_stages_write_into_out_what_they_would_return(window, dtype, reference):
         num = Numerology(num_carriers=m, symbols_per_frame=d, cp_fraction=0.25)
         grid, frame = _frame(num, dtype)
         ref = reference(grid)
+        # The frame itself is complex128, whatever dtype the later stages see.
+        channel_into_out(grid, _paths(num))
         est = estimate_channel(frame, ref)
         cir = delay_transform(est, window=window)
         sf = doppler_transform(cir, window=window, num_symbols=num_symbols)
@@ -208,20 +231,13 @@ def _grid_bytes(scenario):
     return num.num_carriers * num.symbols_per_frame * np.dtype(complex).itemsize
 
 
-@pytest.fixture
-def traced_working_grid(monkeypatch):
-    """Every working grid from numpy, never from its own memory map, which
-    tracemalloc does not see."""
-    monkeypatch.setattr(channel, "_MAP_MIN_BYTES", np.inf)
-
-
-def test_run_scenario_peak_memory_stays_near_one_grid(tmp_path, traced_working_grid):
-    """A pair holds one complex working grid, which its stages overwrite in
-    place; the map and the notched map then fill its first floats. The
-    noise, the calibration, the map file and CFAR go through small blocks
-    of rows, so the rest of the peak is the int8 ``codes`` and ``owner``
-    arrays, the estimate's bool mask and CFAR's block buffer: about 1.2
-    grids.
+def test_run_scenario_peak_memory_stays_near_one_grid(tmp_path):
+    """A run holds one complex working grid, which every pair's stages
+    overwrite in place; the map and the notched map then fill its first
+    floats. The noise, the calibration, the map file and CFAR go through
+    small blocks of rows, so the rest of the peak is the int8 ``codes`` and
+    ``owner`` arrays, the estimate's bool mask and CFAR's block buffer:
+    about 1.2 grids.
 
     The transmit grid is int8 codes, and the reference symbols are looked up
     from them a block of rows at a time, so no stage holds a second complex
@@ -264,7 +280,7 @@ def test_run_scenario_peak_memory_stays_near_one_grid(tmp_path, traced_working_g
         assert peak <= 1.3 * grid_bytes, f"{name}: peak {peak / grid_bytes:.2f} complex grids"
 
 
-def test_run_scenario_leaves_no_array_for_the_cyclic_gc(tmp_path, traced_working_grid):
+def test_run_scenario_leaves_no_array_for_the_cyclic_gc(tmp_path):
     """With the cyclic garbage collector off, an array that a reference cycle
     holds outlives its run; a run must leave under 0.1 grid traced."""
     scenario = load_scenario("fig4_analog")
@@ -278,3 +294,21 @@ def test_run_scenario_leaves_no_array_for_the_cyclic_gc(tmp_path, traced_working
         tracemalloc.stop()
         gc.enable()
     assert left < 0.1 * _grid_bytes(scenario), f"{left / _grid_bytes(scenario):.3f} grids left"
+
+
+def test_a_pair_after_another_in_the_shared_working_grid_equals_it_run_alone(tmp_path):
+    """Every pair of a run writes into one working grid; nothing the first
+    pair left there reaches the second pair's map or detections. A random
+    allocation leaves elements that no estimate reads."""
+    doc = json.loads(bundled_scenario_path("fig4_analog").read_text())
+    doc["numerology"]["num_carriers"] = 600
+    doc["allocation"] = {"type": "random", "user": "u0", "density": 0.5, "seed": 3}
+    scenario = scenario_from_dict(doc)
+    assert len(scenario.pairs) == 2
+    second = scenario.pairs[1]
+    alone = dataclasses.replace(scenario, pairs=[second])
+    run_scenario(scenario, out_dir=tmp_path / "both", log=lambda msg: None)
+    run_scenario(alone, out_dir=tmp_path / "alone", log=lambda msg: None)
+    stem = f"{second.tx}_{second.rx}"
+    for name in (f"map_{stem}.bin", f"detections_{stem}.csv"):
+        assert (tmp_path / "both" / name).read_bytes() == (tmp_path / "alone" / name).read_bytes()

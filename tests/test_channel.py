@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -224,13 +222,18 @@ def test_noisy_frame_matches_the_masked_mean_calibration():
 def test_full_grid_noise_is_one_stream_over_every_element():
     """On a fully allocated grid the noise is one M x D stream for the real
     parts, then one for the imaginary parts, as when every element got noise
-    whether read or not. 72 rows are a whole 64-row block and a part."""
-    grid = make_grid(seed=3)
+    whether read or not. On 312 rows, four whole 64-row blocks and a part,
+    the block sums' noise scale differs from np.mean's, so this grid also
+    pins the calibration rule."""
+    num = Numerology(num_carriers=312, symbols_per_frame=28)
+    grid = make_grid(num, seed=3)
     assert np.all(grid.codes >= 0)
-    paths = [path(gain=0.7 - 0.1j), path(3 * NUM.delay_bin_s, 150.0, 0.2 + 0.1j)]
+    paths = [path(gain=0.7 - 0.1j), path(3 * num.delay_bin_s, 150.0, 0.2 + 0.1j)]
     frame = apply_channel(grid, paths, noise_snr_db=12.0, rng_seed=9)
-    received = channel_response(NUM, paths) * grid.symbols
+    received = channel_response(num, paths) * grid.symbols
     scale = _noise_scale(received, grid.codes >= 0, 12.0)
+    mean_power = np.mean(np.abs(received) ** 2)
+    assert scale != np.sqrt(mean_power * 10.0 ** (-12.0 / 10.0) / 2.0)
     rng = np.random.default_rng(9)
     received.real += rng.standard_normal(received.shape) * scale
     received.imag += rng.standard_normal(received.shape) * scale
@@ -255,25 +258,6 @@ def test_a_frame_depends_only_on_the_elements_its_estimate_reads():
     assert frame.symbols.tobytes() == apply_channel(alone, paths, 12.0, 9).symbols.tobytes()
     assert np.all(frame.symbols[sub.codes < 0] == 0)
     assert np.all(frame.symbols[sub.codes >= 0] != 0)
-
-
-def test_large_working_grids_live_in_their_own_memory_map(monkeypatch):
-    """From 4 MiB on, channel_response's grid is an anonymous memory map,
-    which tracemalloc does not see; smaller grids come from numpy. Both hold
-    the same bits."""
-    paths = [path(gain=0.7 - 0.1j), path(3e-7, 150.0, 0.2 + 0.1j)]
-    for carriers, mapped in ((2400, True), (600, False)):  # 5.4 MB and 1.3 MB
-        num = Numerology(num_carriers=carriers, symbols_per_frame=140)
-        tracemalloc.start()
-        try:
-            h = channel_response(num, paths)
-            traced = tracemalloc.get_traced_memory()[0]
-        finally:
-            tracemalloc.stop()
-        assert (traced < h.nbytes) == mapped
-        with monkeypatch.context() as m:
-            m.setattr(channel, "_MAP_MIN_BYTES", np.inf)
-            assert channel_response(num, paths).tobytes() == h.tobytes()
 
 
 @pytest.mark.parametrize("p", [0, 1, 9, 40])
