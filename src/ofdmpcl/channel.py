@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DelayExceedsCp, DopplerExceedsNarrowband, EmptyReference
+from .errors import DelayExceedsCp, DopplerExceedsNarrowband
 from .geometry import Path
 from .grid import _BLOCK_ROWS, Numerology, ResourceGrid
 
@@ -125,48 +125,35 @@ def apply_channel(
 ) -> SymbolFrame:
     """Propagate a transmit grid through a multipath channel plus noise.
 
-    ``noise_snr_db`` sets complex white Gaussian noise power relative to the
-    mean power of the noiseless received signal over allocated elements;
-    ``None`` disables noise. Noise is seeded with ``rng_seed``, anything
-    ``np.random.default_rng`` takes (a run passes ``seed_words(seed, "noise",
-    tx, rx)``), and added to the allocated elements only, the ones an
-    estimate against ``grid`` divides by: one standard-normal stream for
-    their real parts, then one for their imaginary parts, each in row-major
-    order. On a fully allocated grid that is one M x D stream each. Every
-    other element stays noise-free. Both the calibration and the noise go
-    through the grid a block of rows at a time, so the received grid and
-    the bool mask of allocated elements are the only full-size arrays. The
-    mean signal power is the float64 sum, block by block in row order, of
-    each 64-row block's ``np.add.reduce`` over its allocated |received|^2,
-    divided by their count. Noise on a grid without an allocated element
-    raises EmptyReference. ``out``, as for ``channel_response``, becomes
-    the frame's symbols; a run passes the one working grid its pairs share.
+    ``noise_snr_db`` sets complex white Gaussian noise power relative to each
+    element's expected signal power, the sum of |gain|^2 over ``paths`` for
+    unit-power symbols; ``None`` disables noise. Noise is seeded with
+    ``rng_seed``, anything ``np.random.default_rng`` takes (a run passes
+    ``seed_words(seed, "noise", tx, rx)``), and added to the allocated
+    elements only, the ones an estimate against ``grid`` divides by: one
+    standard-normal stream for their real parts, then one for their
+    imaginary parts, each in row-major order. On a fully allocated grid that
+    is one M x D stream each. Every other element stays noise-free, so a grid
+    without an allocated element gives an all-zero frame. The noise goes
+    through the grid a block of rows at a time, so the received grid and the
+    bool mask of allocated elements are the only full-size arrays. ``out``,
+    as for ``channel_response``, becomes the frame's symbols; a run passes
+    the one working grid its pairs share.
     """
     received = channel_response(grid.numerology, paths, out=out)
-    noisy = noise_snr_db is not None
-    if noisy:
-        read = grid.codes >= 0
-        allocated = int(np.count_nonzero(read))
-        if allocated == 0:
-            raise EmptyReference("cannot calibrate noise on a grid with no allocated element")
-        # One reused buffer: each block's |received|^2, then each block's noise.
-        buffer = np.empty(_BLOCK_ROWS * received.shape[1])
-        total = 0.0
     for rows, tx in grid.symbol_blocks():
-        block = received[rows]
-        block *= tx
+        received[rows] *= tx
         del tx  # released before the next block's symbols are looked up
-        if noisy:
-            power = buffer[: block.size].reshape(block.shape)
-            np.abs(block, out=power)
-            power *= power
-            total += np.add.reduce(power[read[rows]])
-    if not noisy:
+    if noise_snr_db is None:
         return SymbolFrame(symbols=received, numerology=grid.numerology)
 
-    noise_power = total / allocated * 10.0 ** (-noise_snr_db / 10.0)
+    # Scalar float64 in path order: complex np.abs differs by SIMD level.
+    signal_power = sum(p.gain.real * p.gain.real + p.gain.imag * p.gain.imag for p in paths)
+    noise_power = signal_power * 10.0 ** (-noise_snr_db / 10.0)
+    read = grid.codes >= 0
     rng = np.random.default_rng(rng_seed)
     scale = np.sqrt(noise_power / 2.0)
+    buffer = np.empty(_BLOCK_ROWS * received.shape[1])  # reused by every block
     # A generator's draws into consecutive blocks are its one-shot draw.
     for part in (received.real, received.imag):
         for r0 in range(0, len(part), _BLOCK_ROWS):

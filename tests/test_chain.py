@@ -234,7 +234,7 @@ def _grid_bytes(scenario):
 def test_run_scenario_peak_memory_stays_near_one_grid(tmp_path):
     """A run holds one complex working grid, which every pair's stages
     overwrite in place; the map and the notched map then fill its first
-    floats. The noise, the calibration, the map file and CFAR go through
+    floats. The noise, the map file and CFAR go through
     small blocks of rows, so the rest of the peak is the int8 ``codes`` and
     ``owner`` arrays, the estimate's bool mask and CFAR's block buffer:
     about 1.2 grids.
@@ -251,7 +251,7 @@ def test_run_scenario_peak_memory_stays_near_one_grid(tmp_path):
         "fig4_analog": scenario,
         # Hann tapers are the worst case of the transforms.
         "hann": dataclasses.replace(scenario, delay_window="hann", doppler_window="hann"),
-        # A partial allocation: the noise calibration skips, and the in-place
+        # A partial allocation: the noise draws skip, and the in-place
         # estimate zeroes, unallocated elements in every block.
         "random": dataclasses.replace(
             scenario, allocation={"type": "random", "user": "u0", "density": 0.5, "seed": 3}

@@ -10,6 +10,7 @@ from ofdmpcl import (
     apply_channel,
     build_grid,
     channel_response,
+    estimate_channel,
     full_allocation,
     random_allocation,
     user_subgrid,
@@ -179,65 +180,81 @@ def test_channel_response_without_paths_is_complex_zeros():
     assert not np.any(response)
 
 
-def test_noise_on_a_grid_without_allocation_is_an_empty_reference():
+def test_noise_on_a_grid_without_allocation_leaves_an_all_zero_frame():
     grid = build_grid(NUM, {"u0": []}, rng_seed=0)
     assert not np.any(grid.symbols)
+    frame = apply_channel(grid, [path()], noise_snr_db=10.0, rng_seed=0)
+    assert frame.symbols.shape == grid.codes.shape
+    assert not np.any(frame.symbols)
     with pytest.raises(EmptyReference):
-        apply_channel(grid, [path()], noise_snr_db=10.0, rng_seed=0)
+        estimate_channel(frame, grid)
 
 
-def _noise_scale(received, mask, snr_db):
-    """The calibration rule: the float64 sum of each 64-row block's read
-    |received|^2, added in row order, over the read count."""
-    total = 0.0
-    for r0 in range(0, len(received), 64):
-        rows = slice(r0, r0 + 64)
-        total += (np.abs(received[rows][mask[rows]]) ** 2).sum()
-    signal_power = total / np.count_nonzero(mask)
+def _noise_scale(paths, snr_db):
+    """The noise rule: each element's expected power, the float64 sum of
+    |gain|^2 over the paths in path order, over the SNR, split over I and Q."""
+    signal_power = sum(p.gain.real * p.gain.real + p.gain.imag * p.gain.imag for p in paths)
     return np.sqrt(signal_power * 10.0 ** (-snr_db / 10.0) / 2.0)
 
 
-def test_noisy_frame_matches_the_masked_mean_calibration():
-    """A random allocation, so the calibration runs over a strict subset of
-    elements and the noise goes on that subset only. 150 rows are two whole
-    64-row blocks and a part, on which the block sums' bits differ from
-    np.mean's."""
+def _with_noise(grid, paths, scale, seed):
+    """The clean frame plus ``scale`` times a real-part stream, then an
+    imaginary-part stream, over the grid's allocated elements."""
+    received = channel_response(grid.numerology, paths) * grid.symbols
+    mask = grid.codes >= 0
+    n = int(np.count_nonzero(mask))
+    rng = np.random.default_rng(seed)
+    received.real[mask] += rng.standard_normal(n) * scale
+    received.imag[mask] += rng.standard_normal(n) * scale
+    return received
+
+
+def test_noisy_frame_takes_its_noise_power_from_the_path_gains():
+    """A random allocation, so the noise goes on a strict subset of
+    elements, whose measured mean power is not the paths' sum of |gain|^2."""
     num = Numerology(num_carriers=150, symbols_per_frame=28)
     grid = build_grid(num, random_allocation(num, "u0", 0.5, seed=3), rng_seed=2)
     paths = [path(gain=0.7 - 0.1j), path(3 * num.delay_bin_s, 150.0, 0.2 + 0.1j)]
     frame = apply_channel(grid, paths, noise_snr_db=12.0, rng_seed=9)
-    received = channel_response(num, paths) * grid.symbols
     mask = grid.codes >= 0
-    n = int(np.count_nonzero(mask))
-    assert 0 < n < mask.size
-    scale = _noise_scale(received, mask, 12.0)
-    mean_power = np.mean(np.abs(received[mask]) ** 2)
-    assert scale != np.sqrt(mean_power * 10.0 ** (-12.0 / 10.0) / 2.0)
-    rng = np.random.default_rng(9)
-    received.real[mask] += rng.standard_normal(n) * scale
-    received.imag[mask] += rng.standard_normal(n) * scale
-    assert np.array_equal(frame.symbols, received)
+    assert 0 < np.count_nonzero(mask) < mask.size
+    assert np.array_equal(frame.symbols, _with_noise(grid, paths, _noise_scale(paths, 12.0), 9))
 
 
 def test_full_grid_noise_is_one_stream_over_every_element():
     """On a fully allocated grid the noise is one M x D stream for the real
     parts, then one for the imaginary parts, as when every element got noise
-    whether read or not. On 312 rows, four whole 64-row blocks and a part,
-    the block sums' noise scale differs from np.mean's, so this grid also
-    pins the calibration rule."""
+    whether read or not. The second path sits off the delay bins, so the
+    paths' cross terms leave the measured mean power off the sum of |gain|^2."""
     num = Numerology(num_carriers=312, symbols_per_frame=28)
     grid = make_grid(num, seed=3)
     assert np.all(grid.codes >= 0)
-    paths = [path(gain=0.7 - 0.1j), path(3 * num.delay_bin_s, 150.0, 0.2 + 0.1j)]
+    paths = [path(gain=0.7 - 0.1j), path(3.3 * num.delay_bin_s, 150.0, 0.2 + 0.1j)]
     frame = apply_channel(grid, paths, noise_snr_db=12.0, rng_seed=9)
     received = channel_response(num, paths) * grid.symbols
-    scale = _noise_scale(received, grid.codes >= 0, 12.0)
-    mean_power = np.mean(np.abs(received) ** 2)
-    assert scale != np.sqrt(mean_power * 10.0 ** (-12.0 / 10.0) / 2.0)
+    scale = _noise_scale(paths, 12.0)
     rng = np.random.default_rng(9)
     received.real += rng.standard_normal(received.shape) * scale
     received.imag += rng.standard_normal(received.shape) * scale
     assert frame.symbols.tobytes() == received.tobytes()
+
+
+def test_a_users_subgrid_and_the_full_grid_get_the_same_noise_scale():
+    """The noise power follows the paths, not the elements a grid allocates:
+    one user's subgrid and the two-user grid it comes from share one scale."""
+    num = Numerology(num_carriers=150, symbols_per_frame=28)
+    cells = list(np.ndindex(num.prb_rows, num.prb_cols))
+    owners = np.random.default_rng(6).integers(0, 2, len(cells))
+    grid = build_grid(num, {f"u{k}": [(row, col, col + 1) for (row, col), owner
+                                      in zip(cells, owners) if owner == k] for k in range(2)},
+                      rng_seed=2)
+    sub = user_subgrid(grid, "u0")
+    assert 0 < np.count_nonzero(sub.codes >= 0) < np.count_nonzero(grid.codes >= 0)
+    paths = [path(gain=0.7 - 0.1j), path(3.3 * num.delay_bin_s, 150.0, 0.2 + 0.1j)]
+    scale = _noise_scale(paths, 12.0)
+    for g in (grid, sub):
+        frame = apply_channel(g, paths, noise_snr_db=12.0, rng_seed=9)
+        assert frame.symbols.tobytes() == _with_noise(g, paths, scale, 9).tobytes()
 
 
 def test_a_frame_depends_only_on_the_elements_its_estimate_reads():
