@@ -7,9 +7,9 @@ across symbols ("slow time") to resolve Doppler. The squared magnitude of
 the resulting delay-Doppler spreading function is the scattering map that
 detection operates on.
 
-Both transforms use the unitary convention (1/sqrt(N) each way), so energy
-is preserved end to end. The Doppler axis is shifted to put zero Doppler at
-column D // 2.
+Each transform is one in-place numpy FFT with ``norm="ortho"`` (1/sqrt(N)
+each way), so energy is preserved end to end. The Doppler taper carries the
+shift that puts zero Doppler at column D // 2.
 """
 
 from __future__ import annotations
@@ -22,12 +22,7 @@ from .channel import SymbolFrame, _out_array
 from .errors import DimensionMismatch, EmptyReference
 from .geometry import SPEED_OF_LIGHT
 # user_subgrid: run_scenario calls it as dsp.user_subgrid, the name perfbench's tracer rebinds.
-from .grid import Numerology, ResourceGrid, user_subgrid
-
-# Most rows per block of the slow-time transform and the map: small enough
-# that the block buffer stays in cache, large enough to amortize the per-call
-# overhead.
-_DOPPLER_BLOCK_ROWS = 64
+from .grid import _BLOCK_ROWS, Numerology, ResourceGrid, user_subgrid
 
 # "rect" is float32 ones: 1.0 is exact in every float type, and float32 never
 # widens a complex64 input, so tapering by it changes no value and no dtype.
@@ -84,12 +79,6 @@ class ScatteringMap:
         return self.power.shape[1] // 2
 
 
-def _block_rows(m: int) -> int:
-    """Rows per block of a pass over m rows: at most 1/16 of them, so the
-    block buffer stays small on short maps."""
-    return min(_DOPPLER_BLOCK_ROWS, max(1, m // 16))
-
-
 def estimate_channel(
     rx: SymbolFrame, ref: ResourceGrid, out: np.ndarray | None = None
 ) -> ChannelEstimate:
@@ -129,8 +118,7 @@ def delay_transform(
     taper = window_vector(window, m)[:, None]
     h = _out_array(out, est.h.shape, np.result_type(taper, est.h))
     np.multiply(taper, est.h, out=h)
-    np.fft.ifft(h, axis=0, out=h)
-    h *= np.sqrt(m)
+    np.fft.ifft(h, axis=0, norm="ortho", out=h)
     return ImpulseResponse(h=h, numerology=est.numerology)
 
 
@@ -142,13 +130,12 @@ def doppler_transform(
 
     ``num_symbols`` defaults to every symbol and must lie in 2..D. Output
     columns span (-D/2 .. D/2 - 1) * doppler_bin_hz after the shift, so
-    static paths land in the center column. Rows go through one small
-    buffer in blocks, and each block's spectrum is written straight into its
-    shifted columns, so neither a tapered copy nor the unshifted spectrum
-    exists at full size. ``out``, of shape (rows, ``num_symbols``) and the
-    tapered response's dtype, receives the spectrum instead of a new array;
-    it may be ``cir.h[:, :num_symbols]`` itself, because a block's rows are
-    read in full before its spectrum is written back to them.
+    static paths land in the center column. The shift is in the taper:
+    exp(2j*pi*n*(D//2)/D) on symbol n moves spectrum column k to
+    (k + D//2) % D. For even D that factor is (-1)**n, exact in the window's
+    dtype; for odd D it is complex. ``out``, of shape (rows, ``num_symbols``)
+    and the tapered response's dtype, receives the spectrum instead of a new
+    array; it may be ``cir.h[:, :num_symbols]`` itself.
     """
     m, total = cir.h.shape
     d = total if num_symbols is None else num_symbols
@@ -156,20 +143,15 @@ def doppler_transform(
         raise ValueError(f"Doppler transform needs 2 to {total} symbols, got {d}")
     h = cir.h[:, :d]
     taper = window_vector(window, d)
-    dtype = np.result_type(taper, h)
-    s = _out_array(out, (m, d), dtype)
-    block_rows = _block_rows(m)
-    block = np.empty((block_rows, d), dtype=dtype)
-    # numpy divides complex by real as x * (1 / s), so this is x / sqrt(d) bitwise.
-    scale = 1.0 / np.sqrt(d)
-    neg = d // 2  # fftshift moves spectrum column k to (k + neg) % d
-    for r0 in range(0, m, block_rows):
-        rows = slice(r0, min(r0 + block_rows, m))
-        buf = block[: rows.stop - r0]
-        np.multiply(taper, h[rows], out=buf)
-        np.fft.fft(buf, axis=1, out=buf)
-        np.multiply(buf[:, : d - neg], scale, out=s[rows, neg:])
-        np.multiply(buf[:, d - neg :], scale, out=s[rows, :neg])
+    if d % 2 == 0:
+        taper[1::2] *= -1
+    else:
+        # The index is reduced mod d first, so the phase stays below 2*pi.
+        shift = np.exp(2j * np.pi * (np.arange(d) * (d // 2) % d) / d)
+        taper = (taper * shift).astype(np.result_type(taper, h, np.complex64))
+    s = _out_array(out, (m, d), np.result_type(taper, h))
+    np.multiply(taper, h, out=s)
+    np.fft.fft(s, axis=1, norm="ortho", out=s)
     return SpreadingFunction(
         s=s,
         delay_bin_s=cir.numerology.delay_bin_s,
@@ -192,7 +174,7 @@ def scattering_map(sf: SpreadingFunction, out: np.ndarray | None = None) -> Scat
     s = sf.s
     m = s.shape[0]
     power = _out_array(out, s.shape, np.float32)
-    block = np.empty((_block_rows(m), s.shape[1]), dtype=s.real.dtype)
+    block = np.empty((_BLOCK_ROWS, s.shape[1]), dtype=s.real.dtype)
     for r0 in range(0, m, len(block)):
         rows = slice(r0, r0 + len(block))
         buf = block[: len(power[rows])]

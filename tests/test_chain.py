@@ -129,8 +129,8 @@ def _frame(num, dtype):
 def test_stages_write_into_out_what_they_would_return(window, dtype, reference):
     """Each stage with ``out`` set, chained in place through the frame's own
     array where the dtypes allow it, gives the default call's result bitwise."""
-    # 60 carriers run the Doppler transform in 3-row blocks, 1027 in 64-row
-    # blocks plus a remainder; D = 27 is odd and 20 and 21 are shorter windows.
+    # 1027 carriers run the map in 64-row blocks plus a remainder; D = 27 is
+    # odd and 20 and 21 are shorter windows.
     for m, d, num_symbols in ((60, 28, None), (60, 27, 20), (60, 27, None), (1027, 28, 21)):
         num = Numerology(num_carriers=m, symbols_per_frame=d, cp_fraction=0.25)
         grid, frame = _frame(num, dtype)
