@@ -3,11 +3,9 @@
 A resource grid is an M x D matrix of frequency-domain symbols (M carriers,
 D OFDM symbols). Users own rectangular PRB tiles of 12 carriers x 7 symbols;
 everything a user owns is seeded unit-power QPSK, held as an int8 code 0-3,
-and everything else is exactly zero, code -1. Ownership is one integer array
-of the same shape: ``owner`` holds each element's index into the ``users``
-tuple of user ids, -1 where no user owns it. Tiles are placed one PRB cell
-per tile slot on a prb_rows x prb_cols array, which is then expanded to
-elements; carriers and symbols past the last whole PRB belong to no user.
+and everything else is exactly zero, code -1. Ownership is held per PRB cell:
+``owner`` is a prb_rows x prb_cols array of each cell's index into the ``users``
+tuple of user ids, or -1; carriers and symbols past the last whole PRB are unowned.
 """
 
 from __future__ import annotations
@@ -89,7 +87,7 @@ class ResourceGrid:
 
     numerology: Numerology
     codes: np.ndarray  # int8, (num_carriers, symbols_per_frame)
-    owner: np.ndarray  # signed int, same shape: index into users, -1 if unallocated
+    owner: np.ndarray  # signed int, (prb_rows, prb_cols): index into users, -1 if unallocated
     users: tuple[str, ...]
 
     @property
@@ -158,12 +156,6 @@ def build_grid(numerology: Numerology, allocations, rng_seed: int) -> ResourceGr
             f"resource element (carrier {clash[0] * PRB_CARRIERS}, symbol "
             f"{clash[1] * PRB_SYMBOLS}) is claimed more than once"
         )
-    owner = np.full(shape, -1, dtype=cells.dtype)
-    slots = cells.repeat(PRB_SYMBOLS, axis=1)
-    # The whole-PRB rows of owner are contiguous, so this reshape is a view.
-    prbs = owner[:len(cells) * PRB_CARRIERS].reshape(len(cells), PRB_CARRIERS, -1)
-    prbs[:, :, :slots.shape[1]] = slots[:, None, :]
-
     # Draw int64 codes (a narrower draw is another stream) for the whole grid,
     # so co-located elements do not depend on the surrounding tiles; blank the
     # rest. Each value of range 4 takes one 32-bit half of a 64-bit output, so
@@ -173,8 +165,18 @@ def build_grid(numerology: Numerology, allocations, rng_seed: int) -> ResourceGr
     for r0 in range(0, shape[0], _BLOCK_ROWS):
         rows = slice(r0, r0 + _BLOCK_ROWS)
         codes[rows] = rng.integers(0, 4, size=codes[rows].shape)
-        codes[rows][owner[rows] < 0] = -1
-    return ResourceGrid(numerology=numerology, codes=codes, owner=owner, users=users)
+    return ResourceGrid(numerology, _blank_unowned(codes, cells), cells, users)
+
+
+def _blank_unowned(codes: np.ndarray, cells: np.ndarray) -> np.ndarray:
+    """Set code -1 on every element outside the PRB cells where ``cells >= 0``; return codes."""
+    nrows, ncols = cells.shape
+    prbs = codes[:nrows * PRB_CARRIERS, :ncols * PRB_SYMBOLS]
+    codes[len(prbs):] = codes[:, prbs.shape[1]:] = -1  # past the last whole PRB
+    # A view of codes split into PRB rows; the mask repeats each cell over its symbols.
+    np.copyto(prbs.reshape(nrows, PRB_CARRIERS, -1), -1,
+              where=(cells < 0).repeat(PRB_SYMBOLS, axis=1)[:, None, :])
+    return codes
 
 
 def user_subgrid(grid: ResourceGrid, user_id: str) -> ResourceGrid:
@@ -184,11 +186,9 @@ def user_subgrid(grid: ResourceGrid, user_id: str) -> ResourceGrid:
     """
     if user_id not in grid.users:
         raise UnknownUser(f"user {user_id!r} not present in grid")
-    mine = grid.owner == grid.users.index(user_id)
-    owner = mine.astype(_owner_dtype(1)) - 1  # int8: 0 on the user's elements, -1 elsewhere
-    # -1 has every bit set, so OR-ing the owner in blanks every other element.
-    return ResourceGrid(numerology=grid.numerology, codes=grid.codes | owner, owner=owner,
-                        users=(user_id,))
+    owner = (grid.owner == grid.users.index(user_id)).astype(_owner_dtype(1)) - 1
+    return ResourceGrid(numerology=grid.numerology, codes=_blank_unowned(grid.codes.copy(), owner),
+                        owner=owner, users=(user_id,))
 
 
 def full_allocation(numerology: Numerology, user_id: str = "u0") -> dict:

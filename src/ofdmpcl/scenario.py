@@ -445,31 +445,27 @@ def _run_pair(scenario: Scenario, scene: Scene, grid: ResourceGrid, pair_spec: P
     whole: apply_channel writes the frame into it, the estimate, the
     impulse response and the spreading function each overwrite it in place,
     the float32 map fills its first M * D floats, and the notch zeroes that
-    map in place. Each stage's input is released as soon as the next stage
-    returns."""
+    map in place. Every stage's output is a view of ``work``; the estimate
+    also holds an M x D bool mask, released before the Doppler transform."""
     pair = scene.pair(pair_spec.tx, pair_spec.rx)
     paths = enumerate_paths(scene, pair, scenario.numerology.carrier_frequency_hz)
     frame = apply_channel(grid, paths, scenario.snr_db,
                           seed_words(scenario.seed, "noise", pair_spec.tx, pair_spec.rx),
                           out=work)
     est = estimate_channel(frame, grid, out=work)
-    del frame
     cir = delay_transform(est, window=scenario.delay_window, out=est.h)
-    del est
+    del est  # frees the estimate's M x D bool mask before the Doppler FFT
     num_symbols = scenario.doppler_window_symbols
     sf = doppler_transform(cir, window=scenario.doppler_window, num_symbols=num_symbols,
                            out=cir.h[:, :num_symbols])
-    del cir
     # Block by block, the map's floats land on complex elements already read.
     m, d = sf.s.shape
     smap = scattering_map(sf, out=work.view(np.float32).reshape(-1)[: m * d].reshape(m, d))
-    del sf
 
     stem = f"{pair_spec.tx}_{pair_spec.rx}"
     map_file = out / f"map_{stem}.bin"
     write_map(map_file, smap)
     notched = suppress_clutter(smap, scenario.notch_half_width_bins, out=smap.power)
-    del smap
     detections = cfar_detect(notched, scenario.cfar)
     det_file = out / f"detections_{stem}.csv"
     write_detections_csv(det_file, pair_spec.pair_id, detections)

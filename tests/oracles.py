@@ -2,7 +2,8 @@
 
 Everything here is deliberately slow and literal: direct O(N^2) transform
 sums, continuous-time waveform evaluation, numerical differentiation, a
-cell-by-cell CFAR and per-measurement focal sums.
+cell-by-cell CFAR, per-measurement focal sums and a cell-by-cell expansion
+of PRB ownership to elements.
 None of it shares code with the package's processing path.
 """
 
@@ -50,6 +51,20 @@ def complex_grid(numerology, allocations, rng_seed, user=None):
                 owned[12 * prb_row:12 * (prb_row + 1), 7 * col_start:7 * col_end] = True
     symbols[~owned] = 0.0
     return symbols
+
+
+def element_owner(grid):
+    """Each element's index into ``grid.users``, -1 where no user owns it.
+
+    Every PRB cell of ``grid.owner`` writes its index into its 12 x 7 block
+    of elements; carriers and symbols past the last whole PRB stay -1.
+    """
+    num = grid.numerology
+    owner = np.full((num.num_carriers, num.symbols_per_frame), -1)
+    for row in range(grid.owner.shape[0]):
+        for col in range(grid.owner.shape[1]):
+            owner[12 * row:12 * (row + 1), 7 * col:7 * (col + 1)] = grid.owner[row, col]
+    return owner
 
 
 def time_domain_receive(grid, paths, doppler_per_sample=False):

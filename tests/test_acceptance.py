@@ -52,6 +52,7 @@ from oracles import (
     center_zero_frequency,
     direct_unitary_dft_axis1,
     direct_unitary_idft_axis0,
+    element_owner,
     finite_difference_doppler,
 )
 
@@ -318,7 +319,7 @@ def test_criterion_5_sparse_grid_consistency():
         frame = apply_channel(grid, paths, noise_snr_db=22.0, rng_seed=9)
         full = estimate_channel(frame, grid)
         for uid in ("u0", "u1", "u2"):
-            mask = grid.owner == grid.users.index(uid)
+            mask = element_owner(grid) == grid.users.index(uid)
             masked = ChannelEstimate(
                 h=np.where(mask, full.h, 0.0), valid_mask=mask, numerology=num
             )

@@ -235,9 +235,8 @@ def test_run_scenario_peak_memory_stays_near_one_grid(tmp_path):
     """A run holds one complex working grid, which every pair's stages
     overwrite in place; the map and the notched map then fill its first
     floats. The noise, the map file and CFAR go through
-    small blocks of rows, so the rest of the peak is the int8 ``codes`` and
-    ``owner`` arrays, the estimate's bool mask and CFAR's block buffer:
-    about 1.2 grids.
+    small blocks of rows, so the rest of the peak is the int8 ``codes``, the
+    estimate's bool mask and CFAR's block buffer: about 1.16 grids.
 
     The transmit grid is int8 codes, and the reference symbols are looked up
     from them a block of rows at a time, so no stage holds a second complex
@@ -257,7 +256,7 @@ def test_run_scenario_peak_memory_stays_near_one_grid(tmp_path):
             scenario, allocation={"type": "random", "user": "u0", "density": 0.5, "seed": 3}
         ),
         # Uplink rule: one user's band of a three-user grid is its own
-        # measurement; its reference holds its own int8 codes and owner.
+        # measurement; its reference holds its own int8 codes.
         "process_user": dataclasses.replace(
             scenario,
             allocation={"type": "tiles", "tiles": [
@@ -277,7 +276,7 @@ def test_run_scenario_peak_memory_stays_near_one_grid(tmp_path):
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.3 * grid_bytes, f"{name}: peak {peak / grid_bytes:.2f} complex grids"
+        assert peak <= 1.2 * grid_bytes, f"{name}: peak {peak / grid_bytes:.2f} complex grids"
 
 
 def test_run_scenario_leaves_no_array_for_the_cyclic_gc(tmp_path):

@@ -22,6 +22,7 @@ from oracles import (
     center_zero_frequency,
     direct_unitary_dft_axis1,
     direct_unitary_idft_axis0,
+    element_owner,
 )
 
 # cp_fraction 0.25 leaves 15 delay bins of cyclic-prefix headroom
@@ -277,7 +278,7 @@ def test_masked_full_grid_equals_subgrid_processing_bitwise():
     for uid in grid.users:
         # full-grid estimate masked afterwards
         full = estimate_channel(frame, grid)
-        mask = grid.owner == grid.users.index(uid)
+        mask = element_owner(grid) == grid.users.index(uid)
         masked = ChannelEstimate(
             h=np.where(mask, full.h, 0.0), valid_mask=mask, numerology=NUM
         )

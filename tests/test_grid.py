@@ -14,7 +14,7 @@ from ofdmpcl import (
     user_subgrid,
 )
 from ofdmpcl.grid import _BLOCK_ROWS
-from oracles import complex_grid
+from oracles import complex_grid, element_owner
 
 NUM = Numerology(num_carriers=72, symbols_per_frame=28)
 
@@ -28,9 +28,10 @@ THREE_USERS = {
 
 def test_interleaved_support_is_union_of_tiles():
     grid = build_grid(NUM, THREE_USERS, rng_seed=1)
+    owner = element_owner(grid)
     union = np.zeros((72, 28), dtype=bool)
     for k in range(len(grid.users)):
-        union |= grid.owner == k
+        union |= owner == k
     assert np.array_equal(grid.symbols != 0, union)
     # 13 tiles of 12x7 elements each
     assert union.sum() == 13 * 12 * 7
@@ -103,7 +104,7 @@ def test_out_of_bounds_tiles_rejected():
 def test_subgrid_projects_onto_user_mask():
     grid = build_grid(NUM, THREE_USERS, rng_seed=1)
     sub = user_subgrid(grid, "u2")
-    mask = grid.owner == grid.users.index("u2")
+    mask = element_owner(grid) == grid.users.index("u2")
     assert np.array_equal(sub.symbols != 0, mask)
     assert np.array_equal(sub.symbols[mask], grid.symbols[mask])
     assert sub.numerology == grid.numerology
@@ -144,7 +145,8 @@ def test_random_multiuser_allocations_stay_disjoint():
             if tiles:
                 allocations[user] = tiles
         grid = build_grid(NUM, allocations, rng_seed=7)
-        stack = np.array([grid.owner == k for k in range(len(grid.users))])
+        owner = element_owner(grid)
+        stack = np.array([owner == k for k in range(len(grid.users))])
         assert np.all(stack.sum(axis=0) <= 1)
         total = sum(user_subgrid(grid, uid).symbols for uid in grid.users)
         assert np.array_equal(total, grid.symbols)
@@ -228,20 +230,26 @@ PARTIAL = Numerology(num_carriers=66, symbols_per_frame=30)
     full_allocation(PARTIAL),
     {"u0": [(0, 0, 2), (4, 3, 4)], "u1": [(1, 1, 4), (4, 0, 1)], "u2": [(3, 2, 3)]},
 ], ids=["full", "tiles"])
-def test_owner_expands_prb_tiles_and_leaves_the_partial_prb_unowned(allocations):
+def test_owner_holds_the_placed_prb_cells_and_leaves_the_partial_prb_unowned(allocations):
     grid = build_grid(PARTIAL, allocations, rng_seed=6)
+    cells = np.full((PARTIAL.prb_rows, PARTIAL.prb_cols), -1)
     expected = np.full((66, 30), -1)
     for k, tiles in enumerate(allocations.values()):
         for row, col_start, col_end in tiles:
+            cells[row, col_start:col_end] = k
             expected[row * 12:(row + 1) * 12, col_start * 7:col_end * 7] = k
-    assert np.array_equal(grid.owner, expected)
+    assert grid.owner.shape == (5, 4)
+    assert np.array_equal(grid.owner, cells)
     assert np.all(grid.codes[60:, :] == -1)
     assert np.all(grid.codes[:, 28:] == -1)
     assert np.array_equal(grid.codes >= 0, expected >= 0)
     total = sum(user_subgrid(grid, uid).symbols for uid in grid.users)
     assert np.array_equal(total, grid.symbols)
     for k, uid in enumerate(grid.users):
-        assert np.array_equal(user_subgrid(grid, uid).owner == 0, expected == k)
+        sub = user_subgrid(grid, uid)
+        assert sub.owner.shape == (5, 4)
+        assert np.array_equal(sub.owner, np.where(cells == k, 0, -1))
+        assert np.array_equal(sub.codes >= 0, expected == k)
 
 
 @pytest.mark.parametrize("carriers, symbols", [(132, 21), (72, 27), (1200, 140)])
@@ -252,6 +260,6 @@ def test_codes_are_the_one_shot_draw(carriers, symbols):
     num = Numerology(num_carriers=carriers, symbols_per_frame=symbols)
     grid = build_grid(num, random_allocation(num, "u0", 0.5, seed=1), rng_seed=17)
     want = np.random.default_rng(17).integers(0, 4, size=(carriers, symbols)).astype(np.int8)
-    want[grid.owner < 0] = -1
+    want[element_owner(grid) < 0] = -1
     assert grid.codes.dtype == np.int8
     assert np.array_equal(grid.codes, want)
