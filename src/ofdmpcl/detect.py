@@ -8,6 +8,13 @@ region; the threshold factor assumes exponentially distributed noise power
 so the training mean is computed at local maxima only. Map edges wrap around,
 matching the circular delay and Doppler axes of the DFT. The map's float32
 samples are summed, refined and compared in float64.
+
+Given ``max_delay_s``, the longest delay a path can have (a run passes the
+cyclic prefix, which every path's delay lies below), CFAR tests only delay
+rows [0, K) with K = min(M, ceil(max_delay_s / delay_bin_s) + 2): the two
+extra rows hold a peak that rounds past the last bin and the Hann window's
+main lobe. Training cells still come from the whole map, so a detection in
+a tested row is the one an ungated call makes.
 """
 
 from __future__ import annotations
@@ -116,7 +123,8 @@ def _parabolic_offset(flat: np.ndarray, center: np.ndarray, step: int) -> np.nda
     return offset
 
 
-def cfar_detect(smap: ScatteringMap, cfg: CfarConfig) -> list[Detection]:
+def cfar_detect(smap: ScatteringMap, cfg: CfarConfig,
+                max_delay_s: float | None = None) -> list[Detection]:
     """Cell-averaging CFAR over a scattering map.
 
     A cell is declared a detection when it is a local maximum and exceeds
@@ -125,6 +133,8 @@ def cfar_detect(smap: ScatteringMap, cfg: CfarConfig) -> list[Detection]:
     sorted by descending peak power. The map is read a block of rows at a
     time through one small buffer that holds the block with its wrapped
     rows and columns on every side, so no padded copy of the map exists.
+    ``max_delay_s`` limits the tested rows as the module docstring says;
+    None tests every row.
     """
     power = smap.power
     num_delay, num_doppler = power.shape
@@ -132,17 +142,22 @@ def cfar_detect(smap: ScatteringMap, cfg: CfarConfig) -> list[Detection]:
         raise MapTooSmall(
             f"map {power.shape} does not exceed the {cfg.window}x{cfg.window} CFAR window"
         )
+    tested = num_delay
+    if max_delay_s is not None:
+        if not max_delay_s >= 0.0:
+            raise ValueError("max_delay_s must be non-negative")
+        tested = min(num_delay, math.ceil(min(max_delay_s / smap.delay_bin_s, num_delay)) + 2)
     reach = cfg.guard_cells + cfg.train_cells
     width = num_doppler + 2 * reach
     # At most a quarter of the map's rows: the buffer stays small beside a
     # short map, and the calls per block stay few.
-    block_rows = max(1, min(9 * _GATHER_BLOCK // num_doppler, num_delay // 4))
+    block_rows = max(1, min(9 * _GATHER_BLOCK // num_doppler, num_delay // 4, tested))
     buf = np.empty((block_rows + 2 * reach, width), dtype=power.dtype)
     arms = [sign * off * stride for stride in (width, 1)
             for off in range(cfg.guard_cells + 1, reach + 1) for sign in (-1, 1)]
     found = []
-    for r0 in range(0, num_delay, block_rows):
-        n = min(block_rows, num_delay - r0)
+    for r0 in range(0, tested, block_rows):
+        n = min(block_rows, tested - r0)
         window = buf[: n + 2 * reach]
         # window[i, j] is power[(r0 - reach + i) % num_delay, (j - reach) % num_doppler].
         row, filled = (r0 - reach) % num_delay, 0

@@ -466,7 +466,8 @@ def _run_pair(scenario: Scenario, scene: Scene, grid: ResourceGrid, pair_spec: P
     map_file = out / f"map_{stem}.bin"
     write_map(map_file, smap)
     notched = suppress_clutter(smap, scenario.notch_half_width_bins, out=smap.power)
-    detections = cfar_detect(notched, scenario.cfar)
+    detections = cfar_detect(notched, scenario.cfar,
+                             max_delay_s=scenario.numerology.cp_duration_s)
     det_file = out / f"detections_{stem}.csv"
     write_detections_csv(det_file, pair_spec.pair_id, detections)
     return PairResult(pair=pair_spec, detections=detections, map_file=map_file,

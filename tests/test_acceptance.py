@@ -6,6 +6,7 @@ budgets where the criterion names one.
 """
 
 import json
+import math
 import os
 import platform
 import subprocess
@@ -445,13 +446,43 @@ def test_criterion_9_bit_reproducibility(tmp_path):
 
 def test_detections_recompute_from_the_map_files(fig4_run, uplink_run, tmp_path):
     """The map file holds the float32 map that the run's notch and CFAR read,
-    so running them on read_map writes each detection CSV byte for byte."""
+    so running them on read_map, with the run's cyclic prefix as the longest
+    delay, writes each detection CSV byte for byte."""
     recomputed = tmp_path / "detections.csv"
     for scenario, result in (fig4_run[:2], uplink_run):
         for pair in result.pair_results:
             smap = suppress_clutter(read_map(pair.map_file), scenario.notch_half_width_bins)
-            write_detections_csv(recomputed, pair.pair.pair_id, cfar_detect(smap, scenario.cfar))
+            detections = cfar_detect(smap, scenario.cfar,
+                                     max_delay_s=scenario.numerology.cp_duration_s)
+            write_detections_csv(recomputed, pair.pair.pair_id, detections)
             assert recomputed.read_bytes() == pair.detections_file.read_bytes(), pair.map_file.name
+
+
+def _gated_rows(scenario):
+    """K: the run's CFAR tests delay rows [0, K), those a path below the CP can reach."""
+    num = scenario.numerology
+    return min(num.num_carriers, math.ceil(num.cp_duration_s / num.delay_bin_s) + 2)
+
+
+def test_no_detection_of_a_bundled_scenario_lies_past_the_gated_rows(fig4_run, uplink_run):
+    for scenario, result in (fig4_run[:2], uplink_run):
+        k = _gated_rows(scenario)
+        assert k < scenario.numerology.num_carriers
+        for pair in result.pair_results:
+            assert pair.detections and all(d.delay_bin < k for d in pair.detections)
+
+
+def test_gated_cfar_on_the_fig4_maps_is_the_ungated_result_on_the_gated_rows(fig4_run):
+    """On fig4_analog's maps the gate drops most detections; each one it
+    keeps is the ungated call's, field for field."""
+    scenario, result, _ = fig4_run
+    k = _gated_rows(scenario)
+    for pair in result.pair_results:
+        smap = suppress_clutter(read_map(pair.map_file), scenario.notch_half_width_bins)
+        gated = cfar_detect(smap, scenario.cfar, max_delay_s=scenario.numerology.cp_duration_s)
+        ungated = cfar_detect(smap, scenario.cfar)
+        assert gated == [d for d in ungated if d.delay_bin < k]
+        assert len(ungated) > 10 * len(gated) > 0
 
 
 def _cpu_variants():

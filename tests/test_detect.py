@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -266,3 +268,60 @@ def test_detection_fields_are_plain_python_numbers():
         assert type(det.delay_bin) is int and type(det.doppler_bin) is int
         for value in (det.refined_delay_s, det.refined_doppler_hz, det.peak_power, det.snr_db):
             assert type(value) is float
+
+
+def gated_rows(num_delay, delay_bin_s, max_delay_s):
+    """K, the count of rows [0, K) that cfar_detect tests given max_delay_s."""
+    bins = max_delay_s / delay_bin_s
+    return num_delay if bins >= num_delay else min(num_delay, math.ceil(bins) + 2)
+
+
+@pytest.mark.parametrize("max_delay_bins", [0.0, 6.5, 13.0, 20.99, 62.0, math.inf])
+@pytest.mark.parametrize("notch", [None, 2])
+@pytest.mark.parametrize("gather_block", [detect._GATHER_BLOCK, 40])  # 40: 7-row blocks
+def test_gated_cfar_is_the_ungated_result_on_the_gated_rows(max_delay_bins, notch,
+                                                              gather_block, monkeypatch):
+    """Training cells come from the whole map, so each detection in a tested
+    row keeps every field of the ungated call's, and the literal oracle's."""
+    monkeypatch.setattr(detect, "_GATHER_BLOCK", gather_block)
+    cfg = CfarConfig(train_cells=8, guard_cells=2, pfa=1e-3)
+    smap = synthetic_map(oracle_map((64, 48), seed=12))
+    if notch is not None:
+        smap = suppress_clutter(smap, notch)
+    max_delay_s = max_delay_bins * smap.delay_bin_s
+    k = gated_rows(64, smap.delay_bin_s, max_delay_s)
+    gated = cfar_detect(smap, cfg, max_delay_s=max_delay_s)
+    ungated = cfar_detect(smap, cfg)
+    assert gated == [d for d in ungated if d.delay_bin < k]
+    # oracle_map puts peaks in rows 0, 21, 22, 32, 60 and 63.
+    assert gated and (k == 64 or any(d.delay_bin >= k for d in ungated))
+    want = [row for row in ca_cfar_literal(smap.power, 8, 2, 1e-3, delay_bin_s=1e-8,
+                                           doppler_bin_hz=100.0) if row[0] < k]
+    assert [(d.delay_bin, d.doppler_bin) for d in gated] == [row[:2] for row in want]
+    fields = ("refined_delay_s", "refined_doppler_hz", "peak_power", "snr_db")
+    np.testing.assert_allclose([[getattr(d, f) for f in fields] for d in gated],
+                               [row[2:] for row in want], rtol=1e-12)
+
+
+@pytest.mark.parametrize("max_delay_s", [-1e-9, math.nan])
+def test_a_negative_or_nan_max_delay_is_rejected(max_delay_s):
+    with pytest.raises(ValueError, match="max_delay_s"):
+        cfar_detect(synthetic_map(np.ones((64, 64))), CfarConfig(), max_delay_s=max_delay_s)
+
+
+@pytest.mark.parametrize("window", ["rect", "hann"])
+def test_a_path_just_below_the_cyclic_prefix_is_detected(window):
+    """The CP spans 4.9 bins here, so a noise-free path just below it peaks in
+    row 5, past the last whole CP bin; the gate (rows [0, 7)) still tests it."""
+    num = Numerology(num_carriers=60, symbols_per_frame=140, cp_fraction=4.9 / 60)
+    delay_s = num.cp_duration_s * (1 - 1e-9)
+    target = Path(delay_s, 400.0, 1.0, "target")
+    grid = build_grid(num, full_allocation(num), rng_seed=1)
+    frame = apply_channel(grid, [target], noise_snr_db=None, rng_seed=0)
+    cir = delay_transform(estimate_channel(frame, grid), window=window)
+    smap = suppress_clutter(scattering_map(doppler_transform(cir, window=window)), 1)
+    cfg = CfarConfig(train_cells=6, guard_cells=2, pfa=1e-6)
+    detections = cfar_detect(smap, cfg, max_delay_s=num.cp_duration_s)
+    assert gated_rows(60, num.delay_bin_s, num.cp_duration_s) == 7
+    assert (detections[0].delay_bin, detections[0].doppler_bin) == (5, smap.zero_doppler_bin + 4)
+    assert detections == [d for d in cfar_detect(smap, cfg) if d.delay_bin < 7]

@@ -304,16 +304,23 @@ def expected_rows(result):
 
 
 def test_positions_rows_and_cli_lines_come_from_the_estimates(tmp_path, capsys):
-    # Finer delay bins and a third sensor than mini_scenario(), so that the
-    # target gives one unambiguous fix.
+    # Finer delay bins (20.8 m) and a third sensor than mini_scenario(), so
+    # that the target gives one unambiguous fix. The 560-symbol frame makes
+    # 286 Hz Doppler bins, which put the bike 1.8 to 3.4 bins from zero
+    # Doppler in every pair, clear of the +-1 bin notch.
     doc = mini_scenario(
-        numerology=mini_numerology(subcarrier_spacing_hz=240000.0, cp_fraction=0.5),
+        numerology=mini_numerology(subcarrier_spacing_hz=240000.0, cp_fraction=0.5,
+                                   symbols_per_frame=560),
         nodes=[*mini_scenario()["nodes"],
-               {"id": "rx3", "kind": "sensor", "position_m": [60.0, 50.0]}])
+               {"id": "rx3", "kind": "sensor", "position_m": [-50.0, 0.0]}],
+        doppler_window_symbols=560)
     doc["pairs"].append({"tx": "tx", "rx": "rx3"})
     path = write_scenario(tmp_path, doc)
     result = run_scenario(load_scenario(path), out_dir=tmp_path / "a", log=lambda m: None)
     assert result.target_hint == "bike" and len(result.positions) == 1
+    fix = result.positions[0]
+    assert fix.pairs_used == 3
+    assert np.hypot(*(fix.position - [40.0, 30.0])) < 10.0  # under half a delay bin
     rows = position_rows(result.positions_file)
     assert rows == expected_rows(result)
     assert cli_main(["run", str(path), "--out", str(tmp_path / "b")]) == 0

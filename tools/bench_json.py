@@ -1,0 +1,147 @@
+"""Write BENCH_<label>.json: the benchmark's metrics, the environment and detection quality.
+
+    python3 tools/bench_json.py --label NAME [--root CHECKOUT] [--seed 1] [--seconds 10]
+
+Runs ``perfbench/run.py`` of the checkout at ``--root`` (default: this
+repository) once per workload of its ``BENCHMARK.json``, at ``--trace 0`` for
+the end-to-end metrics and at ``--trace 1`` for the per-layer ones (each
+stage's self time and peak), and keeps each run's record. Detection quality
+is scored once, not per timed op, over three fixed input sets of
+``perfbench/workloads.py`` run through ``run_scenario``: ``fig4_docs(1, 6)``,
+``sparse_docs(1, 8)`` and ``uplink_docs(1, 16)``. Per set it gives
+``det_recall``, false detections per pair (detections more than one bin
+from every target path, as ``workloads.check_scene`` counts them) and the
+detections in unreachable rows: rows at or past K = min(M, ceil(cp /
+delay_bin) + 2), where no path with a delay below the cyclic prefix peaks.
+The library is imported from the checkout's ``src/``; the file is written to
+``--out`` (default: the root of this repository).
+"""
+
+from __future__ import annotations
+
+import argparse
+import csv
+import json
+import math
+import os
+import platform
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent.parent
+QUALITY_SETS = (("fig4_mc", "fig4_docs", 6), ("sparse_long", "sparse_docs", 8),
+                ("uplink_small", "uplink_docs", 16))
+
+
+def environment(root: Path) -> dict:
+    """numpy, its BLAS and enabled SIMD targets, the CPU, and the checkout's commit."""
+    import numpy as np
+    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    cpu = None
+    try:
+        cpu = next((line.split(":", 1)[1].strip()
+                    for line in Path("/proc/cpuinfo").read_text().splitlines()
+                    if line.startswith("model name")), None)
+    except OSError:
+        pass
+    git = ["git", "-C", str(root)]
+    commit = subprocess.run([*git, "rev-parse", "HEAD"], capture_output=True, text=True)
+    status = subprocess.run([*git, "status", "--porcelain", "--untracked-files=no"],
+                            capture_output=True, text=True)
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "blas": f"{blas.get('name')} {blas.get('version')}",
+        "cpu_dispatch": [name for name in __cpu_dispatch__ if __cpu_features__.get(name)],
+        "cpu": cpu,
+        "nproc": len(os.sched_getaffinity(0)),
+        "commit": commit.stdout.strip() or None,
+        "uncommitted_changes": bool(status.stdout.strip()) if status.returncode == 0 else None,
+    }
+
+
+def bench_run(root: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
+    """One perfbench/run.py process: its verdict and its record line."""
+    proc = subprocess.run(
+        [sys.executable, str(root / "perfbench" / "run.py"), "--workload", workload,
+         "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)],
+        cwd=root, capture_output=True, text=True, check=True)
+    lines = proc.stdout.strip().splitlines()
+    verdict = json.loads(lines[-1])
+    record = json.loads(lines[-2].removeprefix("record "))
+    return {"correct": verdict["correct"], "attempted": verdict["attempted"],
+            "failed": verdict["failed"], "metrics": record["metrics"], "extra": record["extra"]}
+
+
+def quality(root: Path) -> dict:
+    """Recall, false detections per pair and detections in unreachable rows per input set."""
+    sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
+    import workloads as W
+
+    scores = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for workload, generator, count in QUALITY_SETS:
+            hits = truths = false_dets = pairs = unreachable = 0
+            for i, case in enumerate(W.scene_cases(getattr(W, generator)(1, count))):
+                out = Path(tmp) / f"{workload}_{i}"
+                W.run_scene(case, out)
+                outcome = W.check_scene(case, out)
+                if not outcome.ok:
+                    raise RuntimeError(f"{workload} scene {i}: {outcome.reason}")
+                hits, truths = hits + outcome.hits, truths + outcome.truths
+                false_dets += outcome.false_dets
+                num = case.scn.numerology
+                k = min(num.num_carriers, math.ceil(num.cp_duration_s / num.delay_bin_s) + 2)
+                for pair in case.scn.pairs:
+                    pairs += 1
+                    with open(out / f"detections_{pair.tx}_{pair.rx}.csv", newline="") as f:
+                        unreachable += sum(int(row["delay_bin"]) >= k for row in csv.DictReader(f))
+            scores[workload] = {
+                "input_set": f"{generator}(1, {count})",
+                "pairs": pairs,
+                "det_recall": hits / truths,
+                "det_truths": truths,
+                "false_dets_per_pair": false_dets / pairs,
+                "unreachable_row_dets": unreachable,
+            }
+    return scores
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--label", required=True)
+    parser.add_argument("--root", type=Path, default=HERE)
+    parser.add_argument("--out", type=Path, default=HERE)
+    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--seconds", type=float, default=10.0)
+    args = parser.parse_args(argv)
+    root = args.root.resolve()
+
+    workloads = [w["name"] for w in json.loads((root / "BENCHMARK.json").read_text())["workloads"]]
+    runs = {}
+    for workload in workloads:
+        runs[workload] = {
+            f"trace_{trace}": bench_run(root, workload, args.seed, args.seconds, trace)
+            for trace in (0, 1)}
+        print(f"{workload}: ops_per_s {runs[workload]['trace_0']['metrics']['ops_per_s']:.3f}",
+              file=sys.stderr)
+    bench = {
+        "label": args.label,
+        "seed": args.seed,
+        "seconds": args.seconds,
+        "environment": environment(root),
+        "runs": runs,
+        "quality": quality(root),
+    }
+    path = args.out / f"BENCH_{args.label}.json"
+    path.write_text(json.dumps(bench, indent=1, sort_keys=True) + "\n")
+    print(path.name, file=sys.stderr)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
