@@ -68,4 +68,4 @@ from .locate import (
     measurement_from_detection,
 )
 from .mapfile import export_heatmap, read_map, render_heatmap, write_map
-from .scenario import Scenario, bundled_scenario_path, load_scenario, run_scenario
+from .scenario import Scenario, bundled_scenario_path, detect_map, load_scenario, run_scenario

@@ -9,12 +9,12 @@ so the training mean is computed at local maxima only. Map edges wrap around,
 matching the circular delay and Doppler axes of the DFT. The map's float32
 samples are summed, refined and compared in float64.
 
-Given ``max_delay_s``, the longest delay a path can have (a run passes the
-cyclic prefix, which every path's delay lies below), CFAR tests only delay
-rows [0, K) with K = min(M, ceil(max_delay_s / delay_bin_s) + 2): the two
-extra rows hold a peak that rounds past the last bin and the Hann window's
-main lobe. Training cells still come from the whole map, so a detection in
-a tested row is the one an ungated call makes.
+Given ``max_delay_s``, the longest delay a path can have, CFAR tests only
+delay rows [0, K) with K = min(M, ceil(max_delay_s / delay_bin_s) + 2): the
+two extra rows hold a peak that rounds past the last bin and the Hann
+window's main lobe. Training cells still come from the whole map, so a
+detection in a tested row is the one an ungated call makes. The run's rule,
+``scenario.detect_map``, passes the cyclic prefix, which bounds every path.
 """
 
 from __future__ import annotations

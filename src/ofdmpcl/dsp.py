@@ -117,7 +117,8 @@ def delay_transform(
     m = est.h.shape[0]
     taper = window_vector(window, m)[:, None]
     h = _out_array(out, est.h.shape, np.result_type(taper, est.h))
-    np.multiply(taper, est.h, out=h)
+    if window != "rect" or h is not est.h:  # in place, rect's ones change nothing
+        np.multiply(taper, est.h, out=h)
     np.fft.ifft(h, axis=0, norm="ortho", out=h)
     return ImpulseResponse(h=h, numerology=est.numerology)
 

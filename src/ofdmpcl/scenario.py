@@ -6,9 +6,9 @@ allocation, and the processing knobs; one table of rows per JSON object gives
 each key's kind, bound and default, and ``scenario_from_dict`` also checks
 every path each pair sees. ``run_scenario`` executes the whole chain per
 pair - channel simulation, inverse filtering, delay and Doppler transforms,
-clutter notch, CFAR - and writes one scattering-map file and one detection
-CSV per pair, a positions CSV when localization applies, and a manifest
-echoing the effective configuration for reproducibility.
+then ``detect_map``'s notch and CFAR - and writes one scattering-map file and
+one detection CSV per pair, a positions CSV when localization applies, and a
+manifest echoing the effective configuration for reproducibility.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from . import __version__
 from . import dsp
 from . import grid as _grid
 from .channel import apply_channel, check_path
-from .detect import CfarConfig, cfar_detect, suppress_clutter
+from .detect import CfarConfig, Detection, cfar_detect, suppress_clutter
 from .dsp import (
     WINDOWS,
     delay_transform,
@@ -435,6 +435,15 @@ class RunResult:
     manifest_file: Path
 
 
+def detect_map(smap: dsp.ScatteringMap, scenario: Scenario,
+               out: np.ndarray | None = None) -> list[Detection]:
+    """A pair's detections from its map by the run's rule: the notch, then
+    CFAR on the rows below the cyclic prefix; ``out`` as suppress_clutter's.
+    Both are called through this module's names, the ones a tracer rebinds."""
+    notched = suppress_clutter(smap, scenario.notch_half_width_bins, out=out)
+    return cfar_detect(notched, scenario.cfar, max_delay_s=scenario.numerology.cp_duration_s)
+
+
 def _run_pair(scenario: Scenario, scene: Scene, grid: ResourceGrid, pair_spec: PairSpec,
               out: Path, work: np.ndarray) -> PairResult:
     """One Tx/Rx pair through the chain, writing its map and detection CSV.
@@ -444,8 +453,8 @@ def _run_pair(scenario: Scenario, scene: Scene, grid: ResourceGrid, pair_spec: P
     the run's complex128 M x D working grid, which every pair overwrites
     whole: apply_channel writes the frame into it, the estimate, the
     impulse response and the spreading function each overwrite it in place,
-    the float32 map fills its first M * D floats, and the notch zeroes that
-    map in place. Every stage's output is a view of ``work``; the estimate
+    the float32 map fills its first M * D floats, and ``detect_map`` notches
+    that map in place. Every stage's output is a view of ``work``; the estimate
     also holds an M x D bool mask, released before the Doppler transform."""
     pair = scene.pair(pair_spec.tx, pair_spec.rx)
     paths = enumerate_paths(scene, pair, scenario.numerology.carrier_frequency_hz)
@@ -465,9 +474,7 @@ def _run_pair(scenario: Scenario, scene: Scene, grid: ResourceGrid, pair_spec: P
     stem = f"{pair_spec.tx}_{pair_spec.rx}"
     map_file = out / f"map_{stem}.bin"
     write_map(map_file, smap)
-    notched = suppress_clutter(smap, scenario.notch_half_width_bins, out=smap.power)
-    detections = cfar_detect(notched, scenario.cfar,
-                             max_delay_s=scenario.numerology.cp_duration_s)
+    detections = detect_map(smap, scenario, out=smap.power)
     det_file = out / f"detections_{stem}.csv"
     write_detections_csv(det_file, pair_spec.pair_id, detections)
     return PairResult(pair=pair_spec, detections=detections, map_file=map_file,

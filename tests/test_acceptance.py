@@ -33,6 +33,7 @@ from ofdmpcl import (
     build_grid,
     cfar_detect,
     delay_transform,
+    detect_map,
     doppler_transform,
     enumerate_paths,
     estimate_channel,
@@ -445,15 +446,12 @@ def test_criterion_9_bit_reproducibility(tmp_path):
 
 
 def test_detections_recompute_from_the_map_files(fig4_run, uplink_run, tmp_path):
-    """The map file holds the float32 map that the run's notch and CFAR read,
-    so running them on read_map, with the run's cyclic prefix as the longest
-    delay, writes each detection CSV byte for byte."""
+    """The map file holds the float32 map that the run's detect_map reads, so
+    detect_map on read_map writes each detection CSV byte for byte."""
     recomputed = tmp_path / "detections.csv"
     for scenario, result in (fig4_run[:2], uplink_run):
         for pair in result.pair_results:
-            smap = suppress_clutter(read_map(pair.map_file), scenario.notch_half_width_bins)
-            detections = cfar_detect(smap, scenario.cfar,
-                                     max_delay_s=scenario.numerology.cp_duration_s)
+            detections = detect_map(read_map(pair.map_file), scenario)
             write_detections_csv(recomputed, pair.pair.pair_id, detections)
             assert recomputed.read_bytes() == pair.detections_file.read_bytes(), pair.map_file.name
 
@@ -473,14 +471,14 @@ def test_no_detection_of_a_bundled_scenario_lies_past_the_gated_rows(fig4_run, u
 
 
 def test_gated_cfar_on_the_fig4_maps_is_the_ungated_result_on_the_gated_rows(fig4_run):
-    """On fig4_analog's maps the gate drops most detections; each one it
-    keeps is the ungated call's, field for field."""
+    """detect_map's rule from outside: on fig4_analog's maps it is the notch,
+    then the ungated call's detections, field for field, on rows below K."""
     scenario, result, _ = fig4_run
     k = _gated_rows(scenario)
     for pair in result.pair_results:
-        smap = suppress_clutter(read_map(pair.map_file), scenario.notch_half_width_bins)
-        gated = cfar_detect(smap, scenario.cfar, max_delay_s=scenario.numerology.cp_duration_s)
-        ungated = cfar_detect(smap, scenario.cfar)
+        smap = read_map(pair.map_file)
+        gated = detect_map(smap, scenario)
+        ungated = cfar_detect(suppress_clutter(smap, scenario.notch_half_width_bins), scenario.cfar)
         assert gated == [d for d in ungated if d.delay_bin < k]
         assert len(ungated) > 10 * len(gated) > 0
 

@@ -15,6 +15,7 @@ from ofdmpcl import (
     apply_channel,
     build_grid,
     delay_transform,
+    detect_map,
     doppler_transform,
     estimate_channel,
     load_scenario,
@@ -111,6 +112,13 @@ def test_chain_stages_do_not_mutate_their_inputs(tmp_path, window, reference):
         assert sf.s.shape == (NUM.num_carriers, num_symbols)
     smap = unchanged(lambda: scattering_map(sf), sf)
     unchanged(lambda: suppress_clutter(smap, 1), smap)
+    scenario = dataclasses.replace(load_scenario("three_user_uplink"), numerology=NUM)
+    detections = unchanged(lambda: detect_map(smap, scenario), smap, scenario)
+    # With out=smap.power, the caller's map becomes the notched map.
+    notched = copy.deepcopy(smap)
+    assert detect_map(notched, scenario, out=notched.power) == detections
+    expected = suppress_clutter(smap, scenario.notch_half_width_bins)
+    assert _bits(notched.power) == _bits(expected.power)
     unchanged(lambda: write_map(tmp_path / "map.bin", smap), smap)
 
 

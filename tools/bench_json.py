@@ -15,6 +15,11 @@ detections in unreachable rows: rows at or past K = min(M, ceil(cp /
 delay_bin) + 2), where no path with a delay below the cyclic prefix peaks.
 The library is imported from the checkout's ``src/``; the file is written to
 ``--out`` (default: the root of this repository).
+
+The file records the checkout's ``HEAD`` as ``base_commit``. The tool refuses,
+before it runs anything and without writing a file, when ``--root`` is not the
+top of a git checkout, or when it has uncommitted changes to tracked files and
+the label does not end in ``-uncommitted``.
 """
 
 from __future__ import annotations
@@ -35,8 +40,31 @@ QUALITY_SETS = (("fig4_mc", "fig4_docs", 6), ("sparse_long", "sparse_docs", 8),
                 ("uplink_small", "uplink_docs", 16))
 
 
-def environment(root: Path) -> dict:
-    """numpy, its BLAS and enabled SIMD targets, the CPU, and the checkout's commit."""
+UNCOMMITTED_SUFFIX = "-uncommitted"
+
+
+def source(root: Path, label: str) -> dict:
+    """The checkout's HEAD and whether tracked files differ from it; exits
+    non-zero when the tree cannot be stamped (see the module docstring)."""
+    def git(*args):
+        return subprocess.run(["git", "-C", str(root), *args], capture_output=True, text=True)
+
+    top = git("rev-parse", "--show-toplevel")
+    head = git("rev-parse", "--verify", "HEAD")
+    if top.returncode or head.returncode or Path(top.stdout.strip()).resolve() != root:
+        raise SystemExit(f"refused: {root} is not the top of a git checkout with a commit")
+    status = git("status", "--porcelain", "--untracked-files=no")
+    if status.returncode:
+        raise SystemExit(f"refused: git status failed in {root}: {status.stderr.strip()}")
+    dirty = bool(status.stdout.strip())
+    if dirty and not label.endswith(UNCOMMITTED_SUFFIX):
+        raise SystemExit(f"refused: {root} has uncommitted changes to tracked files; commit "
+                         f"them, or end --label in {UNCOMMITTED_SUFFIX}")
+    return {"base_commit": head.stdout.strip(), "uncommitted_changes": dirty}
+
+
+def environment() -> dict:
+    """numpy, its BLAS and enabled SIMD targets, and the CPU."""
     import numpy as np
     from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
 
@@ -48,10 +76,6 @@ def environment(root: Path) -> dict:
                     if line.startswith("model name")), None)
     except OSError:
         pass
-    git = ["git", "-C", str(root)]
-    commit = subprocess.run([*git, "rev-parse", "HEAD"], capture_output=True, text=True)
-    status = subprocess.run([*git, "status", "--porcelain", "--untracked-files=no"],
-                            capture_output=True, text=True)
     return {
         "python": platform.python_version(),
         "numpy": np.__version__,
@@ -59,8 +83,6 @@ def environment(root: Path) -> dict:
         "cpu_dispatch": [name for name in __cpu_dispatch__ if __cpu_features__.get(name)],
         "cpu": cpu,
         "nproc": len(os.sched_getaffinity(0)),
-        "commit": commit.stdout.strip() or None,
-        "uncommitted_changes": bool(status.stdout.strip()) if status.returncode == 0 else None,
     }
 
 
@@ -120,6 +142,7 @@ def main(argv=None) -> int:
     parser.add_argument("--seconds", type=float, default=10.0)
     args = parser.parse_args(argv)
     root = args.root.resolve()
+    stamp = source(root, args.label)
 
     workloads = [w["name"] for w in json.loads((root / "BENCHMARK.json").read_text())["workloads"]]
     runs = {}
@@ -133,7 +156,7 @@ def main(argv=None) -> int:
         "label": args.label,
         "seed": args.seed,
         "seconds": args.seconds,
-        "environment": environment(root),
+        "environment": {**environment(), **stamp},
         "runs": runs,
         "quality": quality(root),
     }
