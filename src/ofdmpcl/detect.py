@@ -106,12 +106,6 @@ def suppress_clutter(
     return ScatteringMap(power, smap.delay_bin_s, smap.doppler_bin_hz)
 
 
-# About this many local maxima per block of rows: on noise about one cell in
-# nine is a maximum, so a block spans roughly 0.3 MB of map and its
-# 4 * train_cells gathers stay in cache instead of each streaming the map.
-_GATHER_BLOCK = 8192
-
-
 def _parabolic_offset(flat: np.ndarray, center: np.ndarray, step: int) -> np.ndarray:
     """float64 vertex offsets, in bins, of parabolas through flat[center - step],
     flat[center] and flat[center + step]; 0 where they do not curve downwards."""
@@ -130,11 +124,11 @@ def cfar_detect(smap: ScatteringMap, cfg: CfarConfig,
     A cell is declared a detection when it is a local maximum and exceeds
     threshold_factor times the mean of its cross-shaped training region.
     Detections carry 3-point parabolic sub-bin refinement per axis and are
-    sorted by descending peak power. The map is read a block of rows at a
-    time through one small buffer that holds the block with its wrapped
-    rows and columns on every side, so no padded copy of the map exists.
-    ``max_delay_s`` limits the tested rows as the module docstring says;
-    None tests every row.
+    sorted by descending peak power. ``max_delay_s`` limits the tested rows
+    as the module docstring says; None tests every row. The tested rows are
+    read once into one window that also holds guard_cells + train_cells
+    wrapped rows and columns on every side, so the rows that are not tested
+    are never copied.
     """
     power = smap.power
     num_delay, num_doppler = power.shape
@@ -149,55 +143,42 @@ def cfar_detect(smap: ScatteringMap, cfg: CfarConfig,
         tested = min(num_delay, math.ceil(min(max_delay_s / smap.delay_bin_s, num_delay)) + 2)
     reach = cfg.guard_cells + cfg.train_cells
     width = num_doppler + 2 * reach
-    # At most a quarter of the map's rows: the buffer stays small beside a
-    # short map, and the calls per block stay few.
-    block_rows = max(1, min(9 * _GATHER_BLOCK // num_doppler, num_delay // 4, tested))
-    buf = np.empty((block_rows + 2 * reach, width), dtype=power.dtype)
-    arms = [sign * off * stride for stride in (width, 1)
-            for off in range(cfg.guard_cells + 1, reach + 1) for sign in (-1, 1)]
-    found = []
-    for r0 in range(0, tested, block_rows):
-        n = min(block_rows, tested - r0)
-        window = buf[: n + 2 * reach]
-        # window[i, j] is power[(r0 - reach + i) % num_delay, (j - reach) % num_doppler].
-        row, filled = (r0 - reach) % num_delay, 0
-        while filled < len(window):
-            take = min(len(window) - filled, num_delay - row)
-            window[filled : filled + take, reach : reach + num_doppler] = power[row : row + take]
-            row, filled = 0, filled + take
-        window[:, :reach] = window[:, num_doppler : num_doppler + reach]
-        window[:, reach + num_doppler :] = window[:, reach : 2 * reach]
+    # window[i, j] is power[(i - reach) % num_delay, (j - reach) % num_doppler].
+    window = np.empty((tested + 2 * reach, width), dtype=power.dtype)
+    window[:, reach : reach + num_doppler] = np.take(
+        power, np.arange(-reach, tested + reach), axis=0, mode="wrap")
+    window[:, :reach] = window[:, num_doppler : num_doppler + reach]
+    window[:, reach + num_doppler :] = window[:, reach : 2 * reach]
 
-        # 8-neighbour maxima; plateau ties go to the cell with the lower delay
-        # bin, then the lower Doppler bin.
-        core = window[reach : reach + n, reach : reach + num_doppler]
-        peaks = core > 0
-        for di in (-1, 0, 1):
-            for dj in (-1, 0, 1):
-                if (di, dj) != (0, 0):
-                    neighbor = window[reach + di : reach + di + n,
-                                      reach + dj : reach + dj + num_doppler]
-                    peaks &= core > neighbor if (di, dj) < (0, 0) else core >= neighbor
-        rows, cols = np.divmod(np.flatnonzero(peaks), num_doppler)
+    # 8-neighbour maxima; plateau ties go to the cell with the lower delay
+    # bin, then the lower Doppler bin.
+    core = window[reach : reach + tested, reach : reach + num_doppler]
+    peaks = core > 0
+    for di in (-1, 0, 1):
+        for dj in (-1, 0, 1):
+            if (di, dj) != (0, 0):
+                neighbor = window[reach + di : reach + di + tested,
+                                  reach + dj : reach + dj + num_doppler]
+                peaks &= core > neighbor if (di, dj) < (0, 0) else core >= neighbor
+    rows, cols = np.divmod(np.flatnonzero(peaks), num_doppler)
 
-        # Training sums at the maxima, the arms added in a fixed order: delay
-        # axis, then Doppler axis, each -off cell before its +off cell.
-        flat = window.reshape(-1)
-        center = (rows + reach) * width + (cols + reach)
-        total = np.zeros(center.size, dtype=np.float64)
-        for arm in arms:
-            total += flat[center + arm]
-        noise_mean = total / cfg.num_training
-        p0 = flat[center].astype(np.float64)
-        hit = p0 > cfg.threshold_factor * noise_mean
-        center = center[hit]
-        found.append((rows[hit] + r0, cols[hit], p0[hit], noise_mean[hit],
-                      _parabolic_offset(flat, center, width),
-                      _parabolic_offset(flat, center, 1)))
-    rows, cols, p0, noise, d_delay, d_doppler = (np.concatenate(c) for c in zip(*found))
+    # Training sums at the maxima, the arms added in a fixed order: delay
+    # axis, then Doppler axis, each -off cell before its +off cell.
+    flat = window.reshape(-1)
+    center = (rows + reach) * width + (cols + reach)
+    total = np.zeros(center.size, dtype=np.float64)
+    for stride in (width, 1):
+        for off in range(cfg.guard_cells + 1, reach + 1):
+            for sign in (-1, 1):
+                total += flat[center + sign * off * stride]
+    noise_mean = total / cfg.num_training
+    p0 = flat[center].astype(np.float64)
+    hit = p0 > cfg.threshold_factor * noise_mean
+    rows, cols, center, p0, noise = rows[hit], cols[hit], center[hit], p0[hit], noise_mean[hit]
 
-    delay_s = (rows + d_delay) * smap.delay_bin_s
-    doppler_hz = (cols - num_doppler // 2 + d_doppler) * smap.doppler_bin_hz
+    delay_s = (rows + _parabolic_offset(flat, center, width)) * smap.delay_bin_s
+    doppler_hz = ((cols - num_doppler // 2 + _parabolic_offset(flat, center, 1))
+                  * smap.doppler_bin_hz)
     # Scalar log10 over the hits: numpy's is dispatched per SIMD level.
     snr_db = [10.0 * math.log10(p / n) if n > 0 else math.inf
               for p, n in zip(p0.tolist(), noise.tolist())]

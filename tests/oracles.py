@@ -2,8 +2,9 @@
 
 Everything here is deliberately slow and literal: direct O(N^2) transform
 sums, continuous-time waveform evaluation, numerical differentiation, a
-cell-by-cell CFAR, per-measurement focal sums and a cell-by-cell expansion
-of PRB ownership to elements.
+cell-by-cell CFAR, per-measurement focal sums, a cell-by-cell expansion
+of PRB ownership to elements and CA-CFAR's detection probability by
+quadrature.
 None of it shares code with the package's processing path.
 """
 
@@ -239,3 +240,28 @@ def jacobian_loop(point, measurements):
         rows.append(d_tx[0] / np.linalg.norm(d_tx, axis=1)[0]
                     + d_rx[0] / np.linalg.norm(d_rx, axis=1)[0])
     return np.array(rows)
+
+
+def pd_ca_cfar(snr, num_training, pfa, points=201):
+    """Detection probability of a non-fluctuating target under CA-CFAR.
+
+    ``snr`` is the target's integrated power over the noise mean, linear.
+    Noise power in each cell is exponential with unit mean, so the sum Z of
+    the ``num_training`` training cells is Gamma(num_training, 1), and the
+    cell under test exceeds alpha * Z / num_training with the Marcum
+    probability Q1(sqrt(2 snr), sqrt(2 alpha Z / num_training)). Both the
+    Rician tail Q1(a, b) = int_b^inf x exp(-(x^2 + a^2) / 2) I0(a x) dx and
+    its mean over Z are trapezoid sums; ``np.i0`` stays finite for snr up to
+    about 100.
+    """
+    t = num_training
+    alpha = t * (pfa ** (-1.0 / t) - 1.0)
+    a = math.sqrt(2.0 * snr)
+    z = np.linspace(0.0, t + 14.0 * math.sqrt(t), points)
+    density = z ** (t - 1) * np.exp(-z - math.lgamma(t))
+    # One row of x per z, from its threshold b to where the Rician density has
+    # fallen to nothing.
+    b = np.sqrt(2.0 * alpha * z / t)
+    x = b[:, None] + np.linspace(0.0, a + 12.0, points)[None, :]
+    rice = x * np.exp(-(x * x + a * a) / 2.0) * np.i0(a * x)
+    return float(np.trapezoid(density * np.trapezoid(rice, x, axis=1), z))

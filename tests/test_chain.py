@@ -242,9 +242,9 @@ def _grid_bytes(scenario):
 def test_run_scenario_peak_memory_stays_near_one_grid(tmp_path):
     """A run holds one complex working grid, which every pair's stages
     overwrite in place; the map and the notched map then fill its first
-    floats. The noise, the map file and CFAR go through
-    small blocks of rows, so the rest of the peak is the int8 ``codes``, the
-    estimate's bool mask and CFAR's block buffer: about 1.16 grids.
+    floats. The noise and the map file go through small blocks of rows, and
+    CFAR reads only the rows it tests, so the rest of the peak is the int8
+    ``codes``, the estimate's bool mask and CFAR's window: about 1.16 grids.
 
     The transmit grid is int8 codes, and the reference symbols are looked up
     from them a block of rows at a time, so no stage holds a second complex

@@ -19,9 +19,8 @@ from ofdmpcl import (
     scattering_map,
     suppress_clutter,
 )
-from ofdmpcl import detect
-from ofdmpcl.dsp import ScatteringMap
-from oracles import ca_cfar_literal
+from ofdmpcl.dsp import ScatteringMap, window_vector
+from oracles import ca_cfar_literal, pd_ca_cfar
 
 # 100 Hz Doppler bins: 140 symbols at 1/14 ms each
 NUM = Numerology(num_carriers=60, symbols_per_frame=140)
@@ -215,9 +214,7 @@ def oracle_map(shape, seed):
 
 @pytest.mark.parametrize("train, guard, pfa", [(1, 0, 0.05), (4, 1, 1e-2), (8, 2, 1e-3)])
 @pytest.mark.parametrize("shape", [(40, 48), (64, 64), (23, 22)])  # (8, 2) window: 21
-@pytest.mark.parametrize("gather_block", [detect._GATHER_BLOCK, 7])
-def test_cfar_matches_literal_oracle(train, guard, pfa, shape, gather_block, monkeypatch):
-    monkeypatch.setattr(detect, "_GATHER_BLOCK", gather_block)
+def test_cfar_matches_literal_oracle(train, guard, pfa, shape):
     cfg = CfarConfig(train_cells=train, guard_cells=guard, pfa=pfa)
     power = oracle_map(shape, seed=sum(shape) + train)
     got = cfar_detect(synthetic_map(power), cfg)
@@ -232,13 +229,10 @@ def test_cfar_matches_literal_oracle(train, guard, pfa, shape, gather_block, mon
     )
 
 
-def test_cfar_blocks_match_literal_oracle_across_block_boundaries(monkeypatch):
-    """150 rows in blocks of 7: the last block is partial, and peaks sit on
-    both sides of block boundaries and on both wrap edges of each axis."""
-    # A block holds max(1, min(9 * _GATHER_BLOCK // D, M // 4)) rows.
-    monkeypatch.setattr(detect, "_GATHER_BLOCK", 40)
+def test_cfar_matches_literal_oracle_on_a_tall_map_with_peaks_near_both_wrap_edges():
+    """150 rows: peaks sit on and near both wrap edges of each axis, where the
+    training cross and the 8 neighbours wrap, and in rows 6-14 between them."""
     rows, cols = 150, 48
-    assert max(1, min(9 * 40 // cols, rows // 4)) == 7 and rows % 7 == 3
     power = oracle_map((rows, cols), seed=5)
     # oracle_map puts peaks at (0, 5), (75, 47) and (149, 0).
     for row, col, value in [(6, 10, 70.0), (7, 20, 65.0), (13, 30, 55.0), (14, 40, 52.0),
@@ -276,14 +270,13 @@ def gated_rows(num_delay, delay_bin_s, max_delay_s):
     return num_delay if bins >= num_delay else min(num_delay, math.ceil(bins) + 2)
 
 
-@pytest.mark.parametrize("max_delay_bins", [0.0, 6.5, 13.0, 20.99, 62.0, math.inf])
+# 55.0: K = 57 < 64, so the rows wrapped below the tested ones run past the
+# map's last row back to row 0.
+@pytest.mark.parametrize("max_delay_bins", [0.0, 6.5, 13.0, 20.99, 55.0, 62.0, math.inf])
 @pytest.mark.parametrize("notch", [None, 2])
-@pytest.mark.parametrize("gather_block", [detect._GATHER_BLOCK, 40])  # 40: 7-row blocks
-def test_gated_cfar_is_the_ungated_result_on_the_gated_rows(max_delay_bins, notch,
-                                                              gather_block, monkeypatch):
+def test_gated_cfar_is_the_ungated_result_on_the_gated_rows(max_delay_bins, notch):
     """Training cells come from the whole map, so each detection in a tested
     row keeps every field of the ungated call's, and the literal oracle's."""
-    monkeypatch.setattr(detect, "_GATHER_BLOCK", gather_block)
     cfg = CfarConfig(train_cells=8, guard_cells=2, pfa=1e-3)
     smap = synthetic_map(oracle_map((64, 48), seed=12))
     if notch is not None:
@@ -325,3 +318,50 @@ def test_a_path_just_below_the_cyclic_prefix_is_detected(window):
     assert gated_rows(60, num.delay_bin_s, num.cp_duration_s) == 7
     assert (detections[0].delay_bin, detections[0].doppler_bin) == (5, smap.zero_doppler_bin + 4)
     assert detections == [d for d in cfar_detect(smap, cfg) if d.delay_bin < 7]
+
+
+def central_99(pmf):
+    """The counts between the 0.5% and 99.5% quantiles of a count's pmf."""
+    cdf = np.cumsum(pmf)
+    return int(np.searchsorted(cdf, 0.005)), int(np.searchsorted(cdf, 0.995))
+
+
+def binomial_pmf(n, p):
+    return np.array([math.comb(n, k) * p**k * (1.0 - p) ** (n - k) for k in range(n + 1)])
+
+
+@pytest.mark.parametrize("window", ["rect", "hann"])
+def test_measured_pd_matches_the_ca_cfar_closed_form(window):
+    """One on-grid path through the whole chain on a full 72 x 28 grid, with
+    the per-element SNR set for 10, 11 and 12 dB of integrated map SNR: M * D
+    times each axis' window loss (sum w)^2 / (N * sum w^2). A hit is a
+    detection in the path's own cell. Each SNR's hit count, and their total,
+    must lie within the central 99% of the binomial, and of the
+    Poisson-binomial, spread around the closed form's Pd."""
+    num = Numerology()  # 72 x 28; Doppler bin +2 is the narrowband bound's largest
+    m, d = num.num_carriers, num.symbols_per_frame
+    grid = build_grid(num, full_allocation(num), rng_seed=1)
+    path = Path(5 * num.delay_bin_s, 2 / (d * num.symbol_duration_s), 1.0, "target")
+    cfg = CfarConfig(train_cells=8, guard_cells=2, pfa=1e-4)
+    gain = m * d
+    for n in (m, d):
+        w = window_vector(window, n).astype(np.float64)
+        gain *= w.sum() ** 2 / (n * (w * w).sum())
+    trials, total, pooled = 200, 0, np.ones(1)
+    for i, snr_db in enumerate((10.0, 11.0, 12.0)):
+        hits = 0
+        for k in range(trials):
+            # A noise stream of its own per trial, so the counts pool independently.
+            frame = apply_channel(grid, [path], noise_snr_db=snr_db - 10 * math.log10(gain),
+                                  rng_seed=(i, k))
+            cir = delay_transform(estimate_channel(frame, grid), window=window)
+            smap = scattering_map(doppler_transform(cir, window=window))
+            cell = (5, smap.zero_doppler_bin + 2)
+            hits += any((det.delay_bin, det.doppler_bin) == cell
+                        for det in cfar_detect(smap, cfg, max_delay_s=num.cp_duration_s))
+        pmf = binomial_pmf(trials, pd_ca_cfar(10 ** (snr_db / 10), cfg.num_training, cfg.pfa))
+        lo, hi = central_99(pmf)
+        assert lo <= hits <= hi, (snr_db, hits, lo, hi)
+        total, pooled = total + hits, np.convolve(pooled, pmf)
+    lo, hi = central_99(pooled)
+    assert lo <= total <= hi, (total, lo, hi)

@@ -13,6 +13,10 @@ is scored once, not per timed op, over three fixed input sets of
 from every target path, as ``workloads.check_scene`` counts them) and the
 detections in unreachable rows: rows at or past K = min(M, ceil(cp /
 delay_bin) + 2), where no path with a delay below the cyclic prefix peaks.
+``false_alarm_ratio`` is the false detections over the sum, over pairs, of
+``pfa`` * K * D, the count CFAR's tested cells predict (D: the Doppler
+window); ``strongest_is_target`` is the share of pairs whose first, and so
+strongest, detection lies within one bin of a target path.
 The library is imported from the checkout's ``src/``; the file is written to
 ``--out`` (default: the root of this repository).
 
@@ -100,14 +104,16 @@ def bench_run(root: Path, workload: str, seed: int, seconds: float, trace: int) 
 
 
 def quality(root: Path) -> dict:
-    """Recall, false detections per pair and detections in unreachable rows per input set."""
+    """Per input set: recall, false detections, whether the strongest detection is a
+    target, and detections in unreachable rows."""
     sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
     import workloads as W
 
     scores = {}
     with tempfile.TemporaryDirectory() as tmp:
         for workload, generator, count in QUALITY_SETS:
-            hits = truths = false_dets = pairs = unreachable = 0
+            hits = truths = false_dets = pairs = unreachable = strongest = 0
+            expected_false = 0.0
             for i, case in enumerate(W.scene_cases(getattr(W, generator)(1, count))):
                 out = Path(tmp) / f"{workload}_{i}"
                 W.run_scene(case, out)
@@ -116,18 +122,26 @@ def quality(root: Path) -> dict:
                     raise RuntimeError(f"{workload} scene {i}: {outcome.reason}")
                 hits, truths = hits + outcome.hits, truths + outcome.truths
                 false_dets += outcome.false_dets
-                num = case.scn.numerology
-                k = min(num.num_carriers, math.ceil(num.cp_duration_s / num.delay_bin_s) + 2)
+                num, (m, dw) = case.scn.numerology, case.shape
+                k = min(m, math.ceil(num.cp_duration_s / num.delay_bin_s) + 2)
                 for pair in case.scn.pairs:
                     pairs += 1
+                    expected_false += case.scn.cfar.pfa * k * dw
                     with open(out / f"detections_{pair.tx}_{pair.rx}.csv", newline="") as f:
-                        unreachable += sum(int(row["delay_bin"]) >= k for row in csv.DictReader(f))
+                        dets = [(int(r["delay_bin"]), int(r["doppler_bin"]))
+                                for r in csv.DictReader(f)]
+                    unreachable += sum(d >= k for d, _ in dets)
+                    strongest += bool(dets) and any(
+                        W._near(dets[0][0], td, m) and W._near(dets[0][1], tf, dw)
+                        for td, tf in case.truth_bins[pair.pair_id])
             scores[workload] = {
                 "input_set": f"{generator}(1, {count})",
                 "pairs": pairs,
                 "det_recall": hits / truths,
                 "det_truths": truths,
                 "false_dets_per_pair": false_dets / pairs,
+                "false_alarm_ratio": false_dets / expected_false,
+                "strongest_is_target": strongest / pairs,
                 "unreachable_row_dets": unreachable,
             }
     return scores
