@@ -214,10 +214,15 @@ def oracle_map(shape, seed):
 
 @pytest.mark.parametrize("train, guard, pfa", [(1, 0, 0.05), (4, 1, 1e-2), (8, 2, 1e-3)])
 @pytest.mark.parametrize("shape", [(40, 48), (64, 64), (23, 22)])  # (8, 2) window: 21
-def test_cfar_matches_literal_oracle(train, guard, pfa, shape):
+# None tests every row; 8192 delay bins reach past every map's last row, so K
+# clamps to M and the same rows are tested.
+@pytest.mark.parametrize("max_delay_bins", [8192, None])
+def test_cfar_matches_literal_oracle(train, guard, pfa, shape, max_delay_bins):
     cfg = CfarConfig(train_cells=train, guard_cells=guard, pfa=pfa)
     power = oracle_map(shape, seed=sum(shape) + train)
-    got = cfar_detect(synthetic_map(power), cfg)
+    smap = synthetic_map(power)
+    max_delay_s = None if max_delay_bins is None else max_delay_bins * smap.delay_bin_s
+    got = cfar_detect(smap, cfg, max_delay_s=max_delay_s)
     want = ca_cfar_literal(power, train, guard, pfa, delay_bin_s=1e-8, doppler_bin_hz=100.0)
     assert [(d.delay_bin, d.doppler_bin) for d in got] == [row[:2] for row in want]
     assert any(np.isinf(row[5]) for row in want)
@@ -274,9 +279,13 @@ def gated_rows(num_delay, delay_bin_s, max_delay_s):
 # map's last row back to row 0.
 @pytest.mark.parametrize("max_delay_bins", [0.0, 6.5, 13.0, 20.99, 55.0, 62.0, math.inf])
 @pytest.mark.parametrize("notch", [None, 2])
-def test_gated_cfar_is_the_ungated_result_on_the_gated_rows(max_delay_bins, notch):
+# The whole-map call: 8192 delay bins reach past the last row (K clamps to M);
+# None is the ungated call.
+@pytest.mark.parametrize("whole_map_delay_bins", [8192, None])
+def test_gated_cfar_is_the_ungated_result_on_the_gated_rows(max_delay_bins, notch,
+                                                              whole_map_delay_bins):
     """Training cells come from the whole map, so each detection in a tested
-    row keeps every field of the ungated call's, and the literal oracle's."""
+    row keeps every field of the whole-map call's, and the literal oracle's."""
     cfg = CfarConfig(train_cells=8, guard_cells=2, pfa=1e-3)
     smap = synthetic_map(oracle_map((64, 48), seed=12))
     if notch is not None:
@@ -284,10 +293,11 @@ def test_gated_cfar_is_the_ungated_result_on_the_gated_rows(max_delay_bins, notc
     max_delay_s = max_delay_bins * smap.delay_bin_s
     k = gated_rows(64, smap.delay_bin_s, max_delay_s)
     gated = cfar_detect(smap, cfg, max_delay_s=max_delay_s)
-    ungated = cfar_detect(smap, cfg)
-    assert gated == [d for d in ungated if d.delay_bin < k]
+    whole = cfar_detect(smap, cfg, max_delay_s=None if whole_map_delay_bins is None
+                        else whole_map_delay_bins * smap.delay_bin_s)
+    assert gated == [d for d in whole if d.delay_bin < k]
     # oracle_map puts peaks in rows 0, 21, 22, 32, 60 and 63.
-    assert gated and (k == 64 or any(d.delay_bin >= k for d in ungated))
+    assert gated and (k == 64 or any(d.delay_bin >= k for d in whole))
     want = [row for row in ca_cfar_literal(smap.power, 8, 2, 1e-3, delay_bin_s=1e-8,
                                            doppler_bin_hz=100.0) if row[0] < k]
     assert [(d.delay_bin, d.doppler_bin) for d in gated] == [row[:2] for row in want]
