@@ -139,19 +139,11 @@ def bistatic_path(
     change of the total path length in carrier wavelengths. Amplitude follows
     a product-of-ranges law normalized at the reference range.
     """
-    if carrier_frequency_hz <= 0:
-        raise ValueError("carrier frequency must be positive")
     r1, rdot1 = _range_and_rate(tx, scatterer)
     r2, rdot2 = _range_and_rate(scatterer, rx)
-    wavelength = SPEED_OF_LIGHT / carrier_frequency_hz
     magnitude = reference_power_range_m**2 * scatterer.reflectivity / (r1 * r2)
-    return Path(
-        delay_s=(r1 + r2) / SPEED_OF_LIGHT,
-        doppler_hz=-(rdot1 + rdot2) / wavelength,
-        gain=magnitude * np.exp(1j * phase),
-        kind="clutter" if scatterer.kind == "clutter" else "target",
-        via_node=scatterer.id,
-    )
+    return _path(r1 + r2, rdot1 + rdot2, carrier_frequency_hz, magnitude, phase,
+                 "clutter" if scatterer.kind == "clutter" else "target", scatterer.id)
 
 
 def los_path(
@@ -162,17 +154,18 @@ def los_path(
     phase: float = 0.0,
 ) -> Path:
     """Direct Tx -> Rx path; Doppler comes from baseline-length rate."""
+    r, rdot = _range_and_rate(tx, rx)
+    return _path(r, rdot, carrier_frequency_hz, gain_magnitude, phase, "los", None)
+
+
+def _path(length_m, rate_mps, carrier_frequency_hz, magnitude, phase, kind, via_node) -> Path:
+    """A path of total length ``length_m`` changing at ``rate_mps``: delay is the
+    length over c, Doppler the negative rate in carrier wavelengths per second."""
     if carrier_frequency_hz <= 0:
         raise ValueError("carrier frequency must be positive")
-    r, rdot = _range_and_rate(tx, rx)
     wavelength = SPEED_OF_LIGHT / carrier_frequency_hz
-    return Path(
-        delay_s=r / SPEED_OF_LIGHT,
-        doppler_hz=-rdot / wavelength,
-        gain=gain_magnitude * np.exp(1j * phase),
-        kind="los",
-        via_node=None,
-    )
+    return Path(delay_s=length_m / SPEED_OF_LIGHT, doppler_hz=-rate_mps / wavelength,
+                gain=magnitude * np.exp(1j * phase), kind=kind, via_node=via_node)
 
 
 def seed_words(seed: int, *labels: str) -> tuple:

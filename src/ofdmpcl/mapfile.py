@@ -67,6 +67,9 @@ def read_map(path) -> ScatteringMap:
             # is_integer() is False for NaN and infinities, so int() cannot fail.
             if not (m_f.is_integer() and d_f.is_integer() and m_f > 0 and d_f > 0):
                 raise UnreadableMap(f"{path}: invalid dimensions {m_f} x {d_f}")
+            # detect_map divides by both widths; a NaN fails both comparisons.
+            if not (0 < delay_bin < np.inf and 0 < doppler_bin < np.inf):
+                raise UnreadableMap(f"{path}: invalid bin widths {delay_bin} x {doppler_bin}")
             m, d = int(m_f), int(d_f)
             expected = MAP_HEADER_BYTES + 4 * m * d
             if size != expected:

@@ -498,11 +498,15 @@ def _cpu_variants():
 
 
 def _cross_kernel_scenarios(tmp_path):
-    """three_user_uplink; fig4_analog at 600 carriers; and one 600 x 140
-    uplink pair, whose map changed with the OpenBLAS kernel while the path
-    geometry took its distances through BLAS (a full allocation did not)."""
+    """three_user_uplink; fig4_analog at 600 carriers; one 600 x 140 uplink
+    pair, whose map changed with the OpenBLAS kernel while the path geometry
+    took its distances through BLAS (a full allocation did not); then the
+    full-size fig4_analog, as shipped and on a 0.5-density random allocation,
+    whose noise draws go through the mask of allocated elements."""
     fig4 = json.loads(bundled_scenario_path("fig4_analog").read_text())
-    fig4["numerology"]["num_carriers"] = 600
+    fig4_600 = {**fig4, "numerology": {**fig4["numerology"], "num_carriers": 600}}
+    fig4_random = {**fig4, "allocation": {"type": "random", "user": "u0", "density": 0.5,
+                                          "seed": 3}}
     pair = {
         "seed": 183265216,
         "numerology": {"subcarrier_spacing_hz": 15000.0, "num_carriers": 600,
@@ -527,15 +531,17 @@ def _cross_kernel_scenarios(tmp_path):
         "process_user": "u1",
     }
     scenarios = [str(bundled_scenario_path("three_user_uplink"))]
-    for name, doc in (("fig4_600", fig4), ("uplink_pair", pair)):
+    for name, doc in (("fig4_600", fig4_600), ("uplink_pair", pair),
+                      ("fig4_analog", fig4), ("fig4_random", fig4_random)):
         scenarios.append(str(tmp_path / f"{name}.json"))
         (tmp_path / f"{name}.json").write_text(json.dumps(doc))
     return scenarios
 
 
 def test_artifacts_do_not_depend_on_the_cpu_kernels(tmp_path):
-    """The scenarios of _cross_kernel_scenarios, run through the command line
-    in child processes under each of _cpu_variants(), write the same map,
+    """The scenarios of _cross_kernel_scenarios, from three_user_uplink and
+    600-carrier scenes to the full-size fig4_analog, run through the command
+    line in child processes under each of _cpu_variants(), write the same map,
     detection-CSV and positions.csv bytes as a default run in this process;
     the variables act on the children only. Not covered: glibc's libm picks
     its own per-CPU variants (FMA or not) of functions such as exp and sin,

@@ -3,8 +3,8 @@
 Each example writes a CPCLMAP1 header with arbitrary float64 fields and a
 payload of arbitrary bytes and length. Dimensions are drawn as small
 integers often enough that the payload sometimes fits the header exactly.
-Every map that reads is its payload, as a writable float32 array, and holds
-finite powers >= 0.
+Every map that reads is its payload, as a writable float32 array, holds
+finite powers >= 0, and has finite, positive bin widths.
 """
 
 import math
@@ -29,12 +29,14 @@ dimensions = st.one_of(
     st.floats(),
     st.sampled_from(edge_dimensions),
 )
+# About half of the bin widths are valid.
+bin_widths = st.one_of(st.floats(1e-12, 1e12), st.floats())
 
 
 @st.composite
 def map_files(draw):
     m, d, delay_bin, doppler_bin = (draw(dimensions), draw(dimensions),
-                                    draw(st.floats()), draw(st.floats()))
+                                    draw(bin_widths), draw(bin_widths))
     if all(math.isfinite(x) and x == int(x) for x in (m, d)) and 0 <= m * d <= 1024:
         # Mostly the exact payload, sometimes a few bytes off.
         payload = int(4 * m * d) + draw(st.sampled_from([0, 0, 0, -4, -1, 1, 4]))
@@ -43,13 +45,13 @@ def map_files(draw):
     header = MAP_MAGIC + struct.pack("<4d", m, d, delay_bin, doppler_bin)
     header += b"\x00" * (MAP_HEADER_BYTES - len(header))
     size = max(payload, 0)
-    return header + draw(st.binary(min_size=size, max_size=size)), (m, d)
+    return header + draw(st.binary(min_size=size, max_size=size)), (m, d, delay_bin, doppler_bin)
 
 
 @settings(max_examples=100, derandomize=True, deadline=None, database=None)
 @given(map_files())
 def _read_map_returns_a_map_or_raises_unreadable(case):
-    data, (m, d) = case
+    data, (m, d, delay_bin, doppler_bin) = case
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "m.bin"
         path.write_bytes(data)
@@ -58,6 +60,8 @@ def _read_map_returns_a_map_or_raises_unreadable(case):
         except UnreadableMap:
             return
     assert smap.power.shape == (m, d)
+    assert (smap.delay_bin_s, smap.doppler_bin_hz) == (delay_bin, doppler_bin)
+    assert 0 < delay_bin < math.inf and 0 < doppler_bin < math.inf
     # the payload itself, as a writable float32 map
     assert smap.power.dtype == np.float32 and smap.power.flags.writeable
     assert smap.power.tobytes() == data[MAP_HEADER_BYTES:]

@@ -108,11 +108,24 @@ def test_map_file_bad_magic_and_truncation(tmp_path):
         read_map(path)
     with pytest.raises(UnreadableMap):
         read_map(tmp_path / "missing.bin")
-    for bad in (float("nan"), float("inf"), -float("inf"), 1.5):
-        path.write_bytes(MAP_MAGIC + struct.pack("<4d", bad, 8.0, 1e-9, 1.0)
-                         + b"\x00" * (24 + 4 * 64))
-        with pytest.raises(UnreadableMap, match="invalid dimensions"):
-            read_map(path)
+
+
+@pytest.mark.parametrize("field, bad", [
+    *(("m", bad) for bad in (math.nan, math.inf, -math.inf, 1.5)),
+    *((field, bad) for field in ("delay_bin", "doppler_bin")
+      for bad in (0.0, -1e-9, math.nan, math.inf))])
+def test_map_file_with_a_bad_header_field_is_unreadable(tmp_path, capsys, field, bad):
+    """An 8 x 8 map whose payload fits, with one header field (M, or a bin
+    width, which detect_map divides by) that no map can have."""
+    fields = {"m": 8.0, "d": 8.0, "delay_bin": 1e-9, "doppler_bin": 1.0, field: bad}
+    path = tmp_path / "m.bin"
+    path.write_bytes(MAP_MAGIC + struct.pack("<4d", *fields.values()) + b"\x00" * (24 + 4 * 64))
+    with pytest.raises(UnreadableMap, match="invalid"):
+        read_map(path)
+    image = tmp_path / "x.pgm"
+    assert cli_main(["heatmap", str(path), str(image)]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+    assert not image.exists()
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -1.0])

@@ -17,8 +17,9 @@ delay_bin) + 2), where no path with a delay below the cyclic prefix peaks.
 ``pfa`` * K * D, the count CFAR's tested cells predict (D: the Doppler
 window); ``strongest_is_target`` is the share of pairs whose first, and so
 strongest, detection lies within one bin of a target path.
-The library is imported from the checkout's ``src/``; the file is written to
-``--out`` (default: the root of this repository).
+The library is imported from the checkout's ``src/``, and scoring refuses when
+Python already holds ``workloads`` or ``ofdmpcl`` from elsewhere; the file is
+written to ``--out`` (default: the root of this repository).
 
 The file records the checkout's ``HEAD`` as ``base_commit``. The tool refuses,
 before it runs anything and without writing a file, when ``--root`` is not the
@@ -109,6 +110,10 @@ def quality(root: Path) -> dict:
     sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
     import workloads as W
 
+    # A second call, or an ofdmpcl imported before, gets the cached modules.
+    for module, home in ((W, root / "perfbench"), (W.scenario, root / "src")):
+        if not Path(module.__file__).resolve().is_relative_to(home.resolve()):
+            raise SystemExit(f"refused: {module.__name__} is {module.__file__}, not under {home}")
     scores = {}
     with tempfile.TemporaryDirectory() as tmp:
         for workload, generator, count in QUALITY_SETS:
