@@ -58,7 +58,7 @@ class NoConvergence(OfdmPclError):
     """Position solver failed to reduce the residual within its budget.
 
     ``fuse_position`` never raises it: its descent only takes steps that do
-    not raise the cost. The class stays for callers that catch it.
+    not raise the cost. It stays while ``perfbench/tracing.py`` imports it.
     """
 
 

@@ -323,8 +323,6 @@ def scenario_from_dict(data: dict, name: str = "scenario") -> Scenario:
                for end, node_id in (("tx", tx), ("rx", rx)) if kinds.get(node_id) not in RADIO_KINDS]
         if bad:
             errors.extend(bad)
-        elif tx == rx:
-            errors.append(f"at $.pairs[{i}]: tx and rx must differ")
         elif stem in writers:
             errors.append(f"at $.pairs[{i}]: would overwrite map_{stem}.bin and "
                           f"detections_{stem}.csv of $.pairs[{writers[stem]}]")

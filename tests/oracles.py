@@ -2,9 +2,9 @@
 
 Everything here is deliberately slow and literal: direct O(N^2) transform
 sums, continuous-time waveform evaluation, numerical differentiation, a
-cell-by-cell CFAR, per-measurement focal sums, a cell-by-cell expansion
-of PRB ownership to elements and CA-CFAR's detection probability by
-quadrature.
+cell-by-cell CFAR and the rows it tests, per-measurement focal sums, a
+cell-by-cell expansion of PRB ownership to elements and CA-CFAR's detection
+probability by quadrature.
 None of it shares code with the package's processing path.
 """
 
@@ -211,6 +211,14 @@ def ca_cfar_literal(power, train_cells, guard_cells, pfa, delay_bin_s, doppler_b
             ))
     found.sort(key=lambda row: (-row[4], row[0], row[1]))
     return found
+
+
+def gated_rows(num_delay, delay_bin_s, max_delay_s):
+    """K, the count of rows [0, K) that cfar_detect tests given max_delay_s:
+    the rows up to ceil(max_delay_s / delay_bin_s) and two more, at most all
+    num_delay rows."""
+    bins = max_delay_s / delay_bin_s
+    return num_delay if bins >= num_delay else min(num_delay, math.ceil(bins) + 2)
 
 
 def focal_sums_loop(points, measurements):

@@ -20,7 +20,7 @@ from ofdmpcl import (
     suppress_clutter,
 )
 from ofdmpcl.dsp import ScatteringMap, window_vector
-from oracles import ca_cfar_literal, pd_ca_cfar
+from oracles import ca_cfar_literal, gated_rows, pd_ca_cfar
 
 # 100 Hz Doppler bins: 140 symbols at 1/14 ms each
 NUM = Numerology(num_carriers=60, symbols_per_frame=140)
@@ -125,15 +125,6 @@ def test_lowering_pfa_never_adds_detections():
         if previous is not None:
             assert bins <= previous
         previous = bins
-
-
-def test_false_alarm_rate_on_pure_noise():
-    rng = np.random.default_rng(1010)
-    power = rng.exponential(size=(256, 256))
-    cfg = CfarConfig(train_cells=8, guard_cells=2, pfa=1e-3)
-    detections = cfar_detect(synthetic_map(power), cfg)
-    rate = len(detections) / power.size
-    assert 0.5e-3 <= rate <= 2e-3
 
 
 def test_map_smaller_than_window_rejected():
@@ -267,12 +258,6 @@ def test_detection_fields_are_plain_python_numbers():
         assert type(det.delay_bin) is int and type(det.doppler_bin) is int
         for value in (det.refined_delay_s, det.refined_doppler_hz, det.peak_power, det.snr_db):
             assert type(value) is float
-
-
-def gated_rows(num_delay, delay_bin_s, max_delay_s):
-    """K, the count of rows [0, K) that cfar_detect tests given max_delay_s."""
-    bins = max_delay_s / delay_bin_s
-    return num_delay if bins >= num_delay else min(num_delay, math.ceil(bins) + 2)
 
 
 # 55.0: K = 57 < 64, so the rows wrapped below the tested ones run past the

@@ -22,7 +22,6 @@ from oracles import (
     center_zero_frequency,
     direct_unitary_dft_axis1,
     direct_unitary_idft_axis0,
-    element_owner,
 )
 
 # cp_fraction 0.25 leaves 15 delay bins of cyclic-prefix headroom
@@ -230,24 +229,6 @@ def test_round_trip_concentrates_on_grid_target_energy():
     assert window.sum() >= 0.99 * power.sum()
 
 
-def test_transforms_match_direct_dft_oracle():
-    rng = np.random.default_rng(1234)
-    dummy = Numerology(num_carriers=16, symbols_per_frame=7)
-    for m in (8, 16, 32, 64):
-        # odd d checks the complex shift factor in the Doppler taper
-        for d in (7, 8, 16, 27, 32, 63, 64):
-            h = rng.standard_normal((m, d)) + 1j * rng.standard_normal((m, d))
-            est = ChannelEstimate(h=h, valid_mask=np.ones((m, d), bool), numerology=dummy)
-            cir = delay_transform(est)
-            expected_cir = direct_unitary_idft_axis0(h)
-            err = np.abs(cir.h - expected_cir).max() / np.abs(expected_cir).max()
-            assert err < 1e-10
-            sf = doppler_transform(cir)
-            expected_sf = center_zero_frequency(direct_unitary_dft_axis1(expected_cir))
-            err = np.abs(sf.s - expected_sf).max() / np.abs(expected_sf).max()
-            assert err < 1e-10
-
-
 def test_hann_window_matches_direct_windowed_oracle():
     rng = np.random.default_rng(5)
     for d in (28, 27):  # 27 checks the complex shift factor in the Doppler taper
@@ -268,65 +249,6 @@ def test_unknown_window_rejected():
     est = estimate_channel(frame, grid)
     with pytest.raises(ValueError):
         delay_transform(est, window="blackman")
-
-
-def test_masked_full_grid_equals_subgrid_processing_bitwise():
-    grid = build_grid(NUM, THREE_USERS, rng_seed=6)
-    path = Path(3 * NUM.delay_bin_s, 170.0, 0.8 + 0.2j, "target")
-    frame = apply_channel(grid, [path], noise_snr_db=25.0, rng_seed=11)
-
-    for uid in grid.users:
-        # full-grid estimate masked afterwards
-        full = estimate_channel(frame, grid)
-        mask = element_owner(grid) == grid.users.index(uid)
-        masked = ChannelEstimate(
-            h=np.where(mask, full.h, 0.0), valid_mask=mask, numerology=NUM
-        )
-        # per-user reference processing
-        sub = estimate_channel(frame, user_subgrid(grid, uid))
-
-        assert masked.h.tobytes() == sub.h.tobytes()
-        cir_a = delay_transform(masked)
-        cir_b = delay_transform(sub)
-        assert cir_a.h.tobytes() == cir_b.h.tobytes()
-        sf_a = doppler_transform(cir_a)
-        sf_b = doppler_transform(cir_b)
-        assert sf_a.s.tobytes() == sf_b.s.tobytes()
-
-
-def test_integration_gain_doubles_snr_by_3db():
-    # Unitary transforms: doubling the slow-time window raises the coherent
-    # peak by 3 dB and leaves the per-cell noise level unchanged, so the
-    # map-domain SNR gains the net 3 dB either way one normalizes.
-    num = Numerology(num_carriers=60, symbols_per_frame=140, cp_fraction=0.25)
-    gains, peak_ratios, noise_ratios = [], [], []
-    for seed in range(6):
-        snrs, peaks, noises = {}, {}, {}
-        for d in (64, 128):
-            grid = build_grid(num, full_allocation(num), rng_seed=3)
-            path = Path(
-                delay_s=5 * num.delay_bin_s,
-                doppler_hz=6.0 / (128 * num.symbol_duration_s),  # on-grid for both
-                gain=1.0,
-                kind="target",
-            )
-            frame = apply_channel(grid, [path], noise_snr_db=-5.0, rng_seed=seed)
-            sf = doppler_transform(
-                delay_transform(estimate_channel(frame, grid)), num_symbols=d
-            )
-            power = np.abs(sf.s) ** 2
-            col = d // 2 + (6 if d == 128 else 3)
-            peaks[d] = power[5, col]
-            noise = power.copy()
-            noise[2:9, max(col - 3, 0) : col + 4] = np.nan
-            noises[d] = np.nanmean(noise)
-            snrs[d] = peaks[d] / noises[d]
-        gains.append(10 * np.log10(snrs[128] / snrs[64]))
-        peak_ratios.append(peaks[128] / peaks[64])
-        noise_ratios.append(noises[128] / noises[64])
-    assert np.mean(gains) == pytest.approx(3.01, abs=0.3)
-    assert np.mean(peak_ratios) == pytest.approx(2.0, rel=0.1)
-    assert np.mean(noise_ratios) == pytest.approx(1.0, rel=0.1)
 
 
 def test_max_integration_time_values():
