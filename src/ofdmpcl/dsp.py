@@ -9,7 +9,9 @@ detection operates on.
 
 Each transform is one in-place numpy FFT with ``norm="ortho"`` (1/sqrt(N)
 each way), so energy is preserved end to end. The Doppler taper carries the
-shift that puts zero Doppler at column D // 2.
+shift that puts zero Doppler at column D // 2. The estimate, the impulse
+response and the spectrum are complex128 whatever the frame's dtype and the
+window; the map is float32.
 """
 
 from __future__ import annotations
@@ -24,9 +26,7 @@ from .geometry import SPEED_OF_LIGHT
 # user_subgrid: run_scenario calls it as dsp.user_subgrid, the name perfbench's tracer rebinds.
 from .grid import _BLOCK_ROWS, Numerology, ResourceGrid, user_subgrid
 
-# "rect" is float32 ones: 1.0 is exact in every float type, and float32 never
-# widens a complex64 input, so tapering by it changes no value and no dtype.
-WINDOWS = {"rect": lambda n: np.ones(n, dtype=np.float32), "hann": np.hanning}
+WINDOWS = {"rect": np.ones, "hann": np.hanning}
 
 
 def window_vector(name: str, n: int) -> np.ndarray:
@@ -40,7 +40,7 @@ def window_vector(name: str, n: int) -> np.ndarray:
 class ChannelEstimate:
     """Per-symbol channel frequency response on the allocated elements."""
 
-    h: np.ndarray  # complex, (num_carriers, symbols); zero where mask false
+    h: np.ndarray  # complex128, (num_carriers, symbols); zero where mask false
     valid_mask: np.ndarray  # bool, same shape
     numerology: Numerology
 
@@ -49,7 +49,7 @@ class ChannelEstimate:
 class ImpulseResponse:
     """Per-symbol channel impulse response; rows are fast-time delay bins."""
 
-    h: np.ndarray  # complex, (num_carriers, symbols)
+    h: np.ndarray  # complex128, (num_carriers, symbols)
     numerology: Numerology
 
 
@@ -57,13 +57,9 @@ class ImpulseResponse:
 class SpreadingFunction:
     """Complex delay-Doppler response, zero Doppler at column D // 2."""
 
-    s: np.ndarray  # complex, (delay bins, Doppler bins)
+    s: np.ndarray  # complex128, (delay bins, Doppler bins)
     delay_bin_s: float
     doppler_bin_hz: float
-
-    @property
-    def zero_doppler_bin(self) -> int:
-        return self.s.shape[1] // 2
 
 
 @dataclass
@@ -87,7 +83,8 @@ def estimate_channel(
     Divides received by transmitted on every element ``ref`` allocates and
     zeroes the others; for unit-modulus references this equals conjugate
     multiplication. One user's elements are that user's ``user_subgrid``.
-    ``out``, of the received symbols' shape and dtype, receives the estimate
+    The estimate is complex128 whatever the frame's dtype. ``out``, a
+    complex128 array of the received symbols' shape, receives the estimate
     instead of a new array; it may be ``rx.symbols`` itself.
     """
     if rx.symbols.shape != ref.codes.shape:
@@ -97,7 +94,7 @@ def estimate_channel(
     mask = ref.codes >= 0
     if not np.any(mask):
         raise EmptyReference("reference grid owns no allocated elements")
-    h = _out_array(out, rx.symbols.shape, rx.symbols.dtype)
+    h = _out_array(out, rx.symbols.shape, np.complex128)
     for rows, tx in ref.symbol_blocks():
         np.divide(rx.symbols[rows], tx, out=h[rows], where=mask[rows])
         np.copyto(h[rows], 0, where=~mask[rows])
@@ -110,13 +107,13 @@ def delay_transform(
     """Fast-time transform: per-symbol unitary inverse DFT over carriers.
 
     Unallocated carriers stay zero (zero-filled sparse grid), which is the
-    baseline estimator for partially allocated grids. ``out``, of the
-    estimate's shape and the tapered estimate's dtype, receives the impulse
-    response instead of a new array; it may be ``est.h`` itself.
+    baseline estimator for partially allocated grids. ``out``, a complex128
+    array of the estimate's shape, receives the impulse response instead of
+    a new array; it may be ``est.h`` itself.
     """
     m = est.h.shape[0]
     taper = window_vector(window, m)[:, None]
-    h = _out_array(out, est.h.shape, np.result_type(taper, est.h))
+    h = _out_array(out, est.h.shape, np.complex128)
     if window != "rect" or h is not est.h:  # in place, rect's ones change nothing
         np.multiply(taper, est.h, out=h)
     np.fft.ifft(h, axis=0, norm="ortho", out=h)
@@ -133,10 +130,10 @@ def doppler_transform(
     columns span (-D/2 .. D/2 - 1) * doppler_bin_hz after the shift, so
     static paths land in the center column. The shift is in the taper:
     exp(2j*pi*n*(D//2)/D) on symbol n moves spectrum column k to
-    (k + D//2) % D. For even D that factor is (-1)**n, exact in the window's
-    dtype; for odd D it is complex. ``out``, of shape (rows, ``num_symbols``)
-    and the tapered response's dtype, receives the spectrum instead of a new
-    array; it may be ``cir.h[:, :num_symbols]`` itself.
+    (k + D//2) % D. For even D that factor is (-1)**n, exact; for odd D it is
+    complex. ``out``, a complex128 array of shape (rows, ``num_symbols``),
+    receives the spectrum instead of a new array; it may be
+    ``cir.h[:, :num_symbols]`` itself.
     """
     m, total = cir.h.shape
     d = total if num_symbols is None else num_symbols
@@ -149,8 +146,8 @@ def doppler_transform(
     else:
         # The index is reduced mod d first, so the phase stays below 2*pi.
         shift = np.exp(2j * np.pi * (np.arange(d) * (d // 2) % d) / d)
-        taper = (taper * shift).astype(np.result_type(taper, h, np.complex64))
-    s = _out_array(out, (m, d), np.result_type(taper, h))
+        taper = taper * shift
+    s = _out_array(out, (m, d), np.complex128)
     np.multiply(taper, h, out=s)
     np.fft.fft(s, axis=1, norm="ortho", out=s)
     return SpreadingFunction(
@@ -163,9 +160,9 @@ def doppler_transform(
 def scattering_map(sf: SpreadingFunction, out: np.ndarray | None = None) -> ScatteringMap:
     """Element-wise squared magnitude of the spreading function, as float32.
 
-    |s|^2 is computed at the spectrum's precision and rounded once to
-    float32. Rows go through one small buffer in blocks. ``out``, a float32
-    array of the spectrum's shape, receives the map instead of a new array.
+    |s|^2 is computed in float64 and rounded once to float32. Rows go
+    through one small buffer in blocks. ``out``, a float32 array of the
+    spectrum's shape, receives the map instead of a new array.
     It may share the spectrum's memory as long as no block's values land on
     the rows of a later block, because a block is read in full before its
     values are written. The float32 view over the first M * D floats of a
@@ -175,7 +172,7 @@ def scattering_map(sf: SpreadingFunction, out: np.ndarray | None = None) -> Scat
     s = sf.s
     m = s.shape[0]
     power = _out_array(out, s.shape, np.float32)
-    block = np.empty((_BLOCK_ROWS, s.shape[1]), dtype=s.real.dtype)
+    block = np.empty((_BLOCK_ROWS, s.shape[1]))
     for r0 in range(0, m, len(block)):
         rows = slice(r0, r0 + len(block))
         buf = block[: len(power[rows])]

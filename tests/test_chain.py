@@ -12,8 +12,10 @@ import pytest
 from ofdmpcl import (
     Numerology,
     Path,
+    SymbolFrame,
     apply_channel,
     build_grid,
+    channel_response,
     delay_transform,
     detect_map,
     doppler_transform,
@@ -28,7 +30,6 @@ from ofdmpcl import (
 from ofdmpcl.scenario import bundled_scenario_path, scenario_from_dict
 
 NUM = Numerology(num_carriers=60, symbols_per_frame=28, cp_fraction=0.25)
-USERS = {"u0": [(0, 0, 2), (3, 2, 4)], "u1": [(1, 0, 4), (2, 0, 4)]}
 # The estimate's reference: the whole grid, or user u1's elements of it.
 REFERENCES = pytest.mark.parametrize(
     "reference", [lambda grid: grid, lambda grid: user_subgrid(grid, "u1")], ids=["None", "u1"]
@@ -51,15 +52,20 @@ def _arrays(obj):
     return [leaf for leaf in _leaves(obj) if isinstance(leaf, np.ndarray)]
 
 
+def _same(got, want):
+    """Equal values field by field, arrays bitwise: dtype, shape and bytes."""
+    got, want = list(_leaves(got)), list(_leaves(want))
+    return len(got) == len(want) and all(
+        (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+        if isinstance(b, np.ndarray) else a == b for a, b in zip(got, want))
+
+
 def unchanged(call, *inputs):
     """Run ``call``; assert that every input equals a copy taken before the
     call and that no output array shares memory with an input array."""
     before = copy.deepcopy(inputs)
     result = call()
-    old, new = list(_leaves(before)), list(_leaves(inputs))
-    assert len(old) == len(new)
-    for a, b in zip(old, new):
-        assert np.array_equal(a, b) if isinstance(b, np.ndarray) else a == b
+    assert _same(inputs, before)
     for out in _arrays(result):
         assert not any(np.shares_memory(out, a) for a in _arrays(inputs))
     return result
@@ -72,38 +78,21 @@ def _paths(num):
     ]
 
 
-def _bits(a):
-    """dtype, shape and bytes: equal only for bitwise equal arrays."""
-    return a.dtype, a.shape, np.ascontiguousarray(a).tobytes()
-
-
-def channel_into_out(grid, paths):
-    """apply_channel with ``out``: the default call's frame bitwise, written
-    into ``out`` whatever it held before; an ``out`` of the wrong shape or
-    dtype raises ValueError and keeps its bytes."""
-    frame = apply_channel(grid, paths, 15.0, 7)
-    m, d = frame.symbols.shape
-    out = np.full((m, d), 7 - 7j)
-    got = apply_channel(grid, paths, 15.0, 7, out=out)
-    assert got.symbols is out
-    assert _bits(got.symbols) == _bits(frame.symbols)
-    for wrong in (np.full((m, d), 7 - 7j, np.complex64), np.full((m - 1, d), 7 - 7j),
-                  np.full((m, d - 1), 7 - 7j)):
-        before = wrong.copy()
-        with pytest.raises(ValueError, match="out is"):
-            apply_channel(grid, paths, 15.0, 7, out=wrong)
-        assert _bits(wrong) == _bits(before)
-    return got
+def _grid(num):
+    cols = num.prb_cols
+    return build_grid(num, {"u0": [(0, 0, 2), (3, 2, cols)], "u1": [(1, 0, cols), (2, 0, cols)]},
+                      rng_seed=3)
 
 
 @pytest.mark.parametrize("window", ["rect", "hann"])
 @REFERENCES
 def test_chain_stages_do_not_mutate_their_inputs(tmp_path, window, reference):
-    grid = build_grid(NUM, USERS, rng_seed=3)
+    grid = _grid(NUM)
     ref = reference(grid)
     paths = _paths(NUM)
     frame = unchanged(lambda: apply_channel(grid, paths, 15.0, 7), grid, paths)
-    unchanged(lambda: channel_into_out(grid, paths), grid, paths)
+    out = np.full(frame.symbols.shape, 7 - 7j)
+    unchanged(lambda: apply_channel(grid, paths, 15.0, 7, out=out), grid, paths)
     est = unchanged(lambda: estimate_channel(frame, ref), frame, ref)
     cir = unchanged(lambda: delay_transform(est, window=window), est)
     for num_symbols in (20, 27):  # even and odd Doppler windows
@@ -117,77 +106,66 @@ def test_chain_stages_do_not_mutate_their_inputs(tmp_path, window, reference):
     # With out=smap.power, the caller's map becomes the notched map.
     notched = copy.deepcopy(smap)
     assert detect_map(notched, scenario, out=notched.power) == detections
-    expected = suppress_clutter(smap, scenario.notch_half_width_bins)
-    assert _bits(notched.power) == _bits(expected.power)
+    assert _same(notched, suppress_clutter(smap, scenario.notch_half_width_bins))
     unchanged(lambda: write_map(tmp_path / "map.bin", smap), smap)
 
 
-def _frame(num, dtype):
-    cols = num.prb_cols
-    grid = build_grid(num, {"u0": [(0, 0, 2), (3, 2, cols)], "u1": [(1, 0, cols), (2, 0, cols)]},
-                      rng_seed=3)
-    frame = apply_channel(grid, _paths(num), 15.0, 7)
-    frame.symbols = frame.symbols.astype(dtype)
-    return grid, frame
+def _default_calls(frame, ref, window, num_symbols):
+    """Each transform's call without ``out``: the estimate, the impulse
+    response and the spectrum."""
+    est = estimate_channel(frame, ref)
+    cir = delay_transform(est, window=window)
+    return [est, cir, doppler_transform(cir, window=window, num_symbols=num_symbols)]
+
+
+# The frame's symbols: the channel's complex128 output, or its values in
+# another dtype, which the transforms widen to complex128.
+AS_DTYPE = {
+    "complex128": lambda symbols: symbols,
+    "complex64": lambda symbols: symbols.astype(np.complex64),
+    "float64": lambda symbols: symbols.real,
+    "int64": lambda symbols: (8 * symbols.real).astype(np.int64),
+}
 
 
 @pytest.mark.parametrize("window", ["rect", "hann"])
-@pytest.mark.parametrize("dtype", [np.complex128, np.complex64])
+@pytest.mark.parametrize("dtype", list(AS_DTYPE))
 @REFERENCES
 def test_stages_write_into_out_what_they_would_return(window, dtype, reference):
-    """Each stage with ``out`` set, chained in place through the frame's own
-    array where the dtypes allow it, gives the default call's result bitwise."""
-    # 1027 carriers run the map in 64-row blocks plus a remainder; D = 27 is
-    # odd and 20 and 21 are shorter windows.
+    """Each stage with ``out`` set, chained in place through one working grid
+    as a run chains them, gives the default call's result bitwise: the frame
+    overwrites the grid's old values and the transforms overwrite the frame.
+    The transforms are complex128 whatever the frame's dtype: a complex64,
+    float64 or int64 frame gives, with ``out`` or without, the chain of its
+    values widened to complex128."""
+    # 1027 carriers; D = 27 is odd, and 20 and 21 symbols are shorter
+    # Doppler windows.
     for m, d, num_symbols in ((60, 28, None), (60, 27, 20), (60, 27, None), (1027, 28, 21)):
         num = Numerology(num_carriers=m, symbols_per_frame=d, cp_fraction=0.25)
-        grid, frame = _frame(num, dtype)
+        grid = _grid(num)
         ref = reference(grid)
-        # The frame itself is complex128, whatever dtype the later stages see.
-        channel_into_out(grid, _paths(num))
-        est = estimate_channel(frame, ref)
-        cir = delay_transform(est, window=window)
-        sf = doppler_transform(cir, window=window, num_symbols=num_symbols)
+        work = np.full((m, d), 7 - 7j)
+        frame = apply_channel(grid, _paths(num), 15.0, 7)
+        if dtype == "complex128":
+            got = apply_channel(grid, _paths(num), 15.0, 7, out=work)
+            assert got.symbols is work
+            assert _same(got, frame)
+        else:
+            got = frame = SymbolFrame(AS_DTYPE[dtype](frame.symbols), num)
+        widened = SymbolFrame(frame.symbols.astype(np.complex128), num)
+        expected = _default_calls(widened, ref, window, num_symbols)
+        assert _same(_default_calls(frame, ref, window, num_symbols), expected)
 
-        out = frame.symbols
-        got_est = estimate_channel(frame, ref, out=out)
-        assert np.shares_memory(got_est.h, out)
-        assert _bits(got_est.h) == _bits(est.h)
-        assert np.array_equal(got_est.valid_mask, est.valid_mask)
-
-        # A Hann taper widens complex64 to complex128, which needs its own array.
-        out = got_est.h if cir.h.dtype == dtype else np.empty_like(cir.h)
-        got_cir = delay_transform(got_est, window=window, out=out)
-        assert np.shares_memory(got_cir.h, out)
-        assert _bits(got_cir.h) == _bits(cir.h)
-
-        out = got_cir.h[:, :num_symbols]
-        got_sf = doppler_transform(got_cir, window=window, num_symbols=num_symbols, out=out)
-        assert np.shares_memory(got_sf.s, out)
-        assert _bits(got_sf.s) == _bits(sf.s)
-        assert (got_sf.delay_bin_s, got_sf.doppler_bin_hz) == (sf.delay_bin_s, sf.doppler_bin_hz)
-
-
-def test_an_out_of_the_wrong_shape_or_dtype_raises_before_anything_is_written():
-    grid, frame = _frame(NUM, np.complex128)
-    est = estimate_channel(frame, grid)
-    cir = delay_transform(est)
-    m, d = NUM.num_carriers, NUM.symbols_per_frame
-    stages = [
-        (lambda out: estimate_channel(frame, grid, out=out), d),
-        (lambda out: delay_transform(est, window="hann", out=out), d),
-        # The spectrum has num_symbols columns, not the frame's D.
-        (lambda out: doppler_transform(cir, num_symbols=20, out=out), 20),
-    ]
-    for stage, cols in stages:
-        wrong = [np.full((m, cols), 7 - 7j, np.complex64),  # dtype
-                 np.full((m - 1, cols), 7 - 7j),  # rows
-                 np.full((m, d if cols != d else d - 1), 7 - 7j)]  # columns
-        for out in wrong:
-            before = out.copy()
-            with pytest.raises(ValueError, match="out is"):
-                stage(out)
-            assert _bits(out) == _bits(before)
+        stages = [
+            lambda got: estimate_channel(got, ref, out=work),
+            lambda got: delay_transform(got, window=window, out=work),
+            lambda got: doppler_transform(got, window=window, num_symbols=num_symbols,
+                                          out=work[:, :num_symbols]),
+        ]
+        for stage, want in zip(stages, expected):
+            got = stage(got)
+            assert np.shares_memory(_arrays(got)[0], work)
+            assert _same(got, want)
 
 
 @pytest.mark.parametrize("window", ["rect", "hann"])
@@ -196,14 +174,16 @@ def test_map_and_notch_in_the_working_grid_equal_the_default_calls(window, num_s
     """The map written into the float32 view over the working grid's first
     M * D floats, and the notch applied to it in place, give the default
     calls' results bitwise, also for a Doppler window shorter than D."""
+    # 1027 carriers run the map in 64-row blocks plus a remainder; D = 27 is odd.
     for m, d in ((60, 28), (1027, 28), (60, 27)):
         num = Numerology(num_carriers=m, symbols_per_frame=d, cp_fraction=0.25)
-        grid, frame = _frame(num, np.complex128)
-        work = frame.symbols
+        grid = _grid(num)
+        work = np.full((m, d), 7 - 7j)
+        frame = apply_channel(grid, _paths(num), 15.0, 7, out=work)
         est = estimate_channel(frame, grid, out=work)
-        cir = delay_transform(est, window=window, out=est.h)
+        cir = delay_transform(est, window=window, out=work)
         sf = doppler_transform(cir, window=window, num_symbols=num_symbols,
-                               out=cir.h[:, :num_symbols])
+                               out=work[:, :num_symbols])
         smap = scattering_map(sf)
         notched = suppress_clutter(smap, 2)
 
@@ -211,27 +191,58 @@ def test_map_and_notch_in_the_working_grid_equal_the_default_calls(window, num_s
         view = work.view(np.float32).reshape(-1)[: rows * cols].reshape(rows, cols)
         got = scattering_map(sf, out=view)
         assert np.shares_memory(got.power, work)
-        assert _bits(got.power) == _bits(smap.power)
-        assert (got.delay_bin_s, got.doppler_bin_hz) == (smap.delay_bin_s, smap.doppler_bin_hz)
+        assert _same(got, smap)
         got_notched = suppress_clutter(got, 2, out=got.power)
         assert got_notched.power is got.power
-        assert _bits(got_notched.power) == _bits(notched.power)
+        assert _same(got_notched, notched)
 
 
-def test_a_map_out_of_the_wrong_shape_or_dtype_raises_before_anything_is_written():
-    grid, frame = _frame(NUM, np.complex128)
-    sf = doppler_transform(delay_transform(estimate_channel(frame, grid)))
-    smap = scattering_map(sf)
-    m, d = smap.power.shape
-    stages = [lambda out: scattering_map(sf, out=out),
-              lambda out: suppress_clutter(smap, 1, out=out)]
-    for stage in stages:
-        for out in (np.full((m, d), 7.0), np.full((m - 1, d), 7.0, np.float32),
-                    np.full((m, d - 1), 7.0, np.float32)):
+def _raise_before_writing(stages, m, d):
+    """Give each (stage, dtype, columns) an ``out`` of another dtype, one of
+    a row too few and one of other columns: each raises ValueError and
+    leaves ``out`` as it was."""
+    for stage, dtype, cols in stages:
+        wrong = [np.full((m, cols), 7, np.complex64 if dtype == np.complex128 else np.float64),
+                 np.full((m - 1, cols), 7, dtype),
+                 np.full((m, d if cols != d else d - 1), 7, dtype)]
+        for out in wrong:
             before = out.copy()
             with pytest.raises(ValueError, match="out is"):
                 stage(out)
-            assert _bits(out) == _bits(before)
+            assert _same(out, before)
+
+
+def test_an_out_of_the_wrong_shape_or_dtype_raises_before_anything_is_written():
+    """Every complex stage that takes ``out`` checks its shape and dtype
+    before it writes."""
+    grid, paths = _grid(NUM), _paths(NUM)
+    frame = apply_channel(grid, paths, 15.0, 7)
+    est, cir, _ = _default_calls(frame, grid, "rect", 20)
+    d = NUM.symbols_per_frame
+    # The spectrum has num_symbols columns, not the frame's D.
+    _raise_before_writing([
+        (lambda out: channel_response(NUM, paths, out=out), np.complex128, d),
+        (lambda out: apply_channel(grid, paths, 15.0, 7, out=out), np.complex128, d),
+        (lambda out: estimate_channel(frame, grid, out=out), np.complex128, d),
+        (lambda out: delay_transform(est, window="hann", out=out), np.complex128, d),
+        (lambda out: doppler_transform(cir, num_symbols=20, out=out), np.complex128, 20),
+    ], NUM.num_carriers, d)
+
+
+def test_a_map_out_of_the_wrong_shape_or_dtype_raises_before_anything_is_written():
+    """Every stage that writes a float32 map into ``out`` checks its shape
+    and dtype before it writes."""
+    grid = _grid(NUM)
+    frame = apply_channel(grid, _paths(NUM), 15.0, 7)
+    sf = _default_calls(frame, grid, "rect", 20)[2]
+    smap = scattering_map(sf)
+    scenario = dataclasses.replace(load_scenario("three_user_uplink"), numerology=NUM)
+    # The map has num_symbols columns, not the frame's D.
+    _raise_before_writing([
+        (lambda out: scattering_map(sf, out=out), np.float32, 20),
+        (lambda out: suppress_clutter(smap, 1, out=out), np.float32, 20),
+        (lambda out: detect_map(smap, scenario, out=out), np.float32, 20),
+    ], NUM.num_carriers, NUM.symbols_per_frame)
 
 
 def _grid_bytes(scenario):

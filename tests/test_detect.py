@@ -340,7 +340,7 @@ def test_measured_pd_matches_the_ca_cfar_closed_form(window):
     cfg = CfarConfig(train_cells=8, guard_cells=2, pfa=1e-4)
     gain = m * d
     for n in (m, d):
-        w = window_vector(window, n).astype(np.float64)
+        w = window_vector(window, n)
         gain *= w.sum() ** 2 / (n * (w * w).sum())
     trials, total, pooled = 200, 0, np.ones(1)
     for i, snr_db in enumerate((10.0, 11.0, 12.0)):

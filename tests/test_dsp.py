@@ -149,7 +149,7 @@ def test_static_path_collapses_to_zero_doppler_column():
     grid, frame = single_path_frame(delay_bins=4.0, doppler_bins=0.0)
     sf = doppler_transform(delay_transform(estimate_channel(frame, grid)))
     power = np.abs(sf.s) ** 2
-    center = sf.zero_doppler_bin
+    center = sf.s.shape[1] // 2
     off_center = np.delete(power, center, axis=1)
     assert off_center.sum() < 1e-20 * power.sum()
 
@@ -162,7 +162,7 @@ def test_on_grid_doppler_peaks_at_that_bin():
         sf = doppler_transform(delay_transform(estimate_channel(frame, grid)))
         power = np.abs(sf.s) ** 2
         delay_bin, doppler_bin = np.unravel_index(np.argmax(power), power.shape)
-        assert (delay_bin, doppler_bin) == (2, sf.zero_doppler_bin + k)
+        assert (delay_bin, doppler_bin) == (2, power.shape[1] // 2 + k)
         assert sf.doppler_bin_hz == pytest.approx(
             1.0 / (num.symbols_per_frame * num.symbol_duration_s)
         )
@@ -275,48 +275,23 @@ def _literal_doppler(h, window, num_symbols):
     d = h.shape[1]
     if window != "rect":
         h = np.hanning(d)[None, :] * h
-    out = np.fft.fftshift(np.fft.fft(h, axis=1), axes=1)
-    out /= np.sqrt(d)  # in place, so complex64 stays complex64
-    return out
+    return np.fft.fftshift(np.fft.fft(h, axis=1), axes=1) / np.sqrt(d)
 
 
 @pytest.mark.parametrize("window", ["rect", "hann"])
-@pytest.mark.parametrize("dtype", [np.complex128, np.complex64])
-def test_transforms_match_their_literal_formulation(window, dtype):
+def test_transforms_match_their_literal_formulation(window):
     """The delay transform is the tapered unitary IFFT bitwise. The Doppler
     transform, whose shift rides in the taper, is the shifted, scaled FFT of
-    the tapered response to within 8 eps of the spectrum's largest value,
-    in the same dtype."""
+    the tapered response to within 8 eps of the spectrum's largest value."""
     rng = np.random.default_rng(17)
     for m in (20, 1027):
         for d, num_symbols in ((28, None), (27, None), (28, 21), (27, 20), (2, None),
                                (139, None)):
-            h = (rng.standard_normal((m, d)) + 1j * rng.standard_normal((m, d))).astype(dtype)
+            h = rng.standard_normal((m, d)) + 1j * rng.standard_normal((m, d))
             est = ChannelEstimate(h=h, valid_mask=np.ones((m, d), bool), numerology=NUM)
             cir = delay_transform(est, window=window)
-            expected = _literal_delay(h, window)
-            assert cir.h.dtype == expected.dtype
-            assert np.array_equal(cir.h, expected)
+            assert np.array_equal(cir.h, _literal_delay(h, window))
             sf = doppler_transform(cir, window=window, num_symbols=num_symbols)
             expected = _literal_doppler(cir.h, window, num_symbols)
-            assert sf.s.dtype == expected.dtype
-            eps = np.finfo(sf.s.dtype).eps
-            assert np.abs(sf.s - expected).max() <= 8 * eps * np.abs(expected).max()
-            if window == "rect":
-                assert sf.s.dtype == cir.h.dtype == dtype
-
-
-@pytest.mark.parametrize("d", [2, 3, 137, 140, 560])
-@pytest.mark.parametrize("dtype, decades", [(np.complex128, 300), (np.complex64, 30)])
-def test_scaling_by_the_reciprocal_root_is_the_division_bitwise(d, dtype, decades):
-    """_literal_doppler divides by sqrt(D); numpy's complex-by-real division
-    is x * (1 / s), so it has the bits of the blocked transform that scaled
-    by 1 / sqrt(D) before ``norm="ortho"``, and the 8 eps bound above is
-    measured from that transform's output."""
-    rng = np.random.default_rng(d)
-    parts = rng.choice([-1.0, 1.0], (2, 64, d)) * 10.0 ** rng.uniform(-decades, decades, (2, 64, d))
-    x = (parts[0] + 1j * parts[1]).astype(dtype)
-    divided, multiplied = np.empty_like(x), np.empty_like(x)
-    np.divide(x, np.sqrt(d), out=divided)
-    np.multiply(x, 1.0 / np.sqrt(d), out=multiplied)
-    assert divided.tobytes() == multiplied.tobytes()
+            bound = 8 * np.finfo(np.float64).eps * np.abs(expected).max()
+            assert np.abs(sf.s - expected).max() <= bound

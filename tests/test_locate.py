@@ -132,6 +132,30 @@ def test_two_intersecting_ellipses_raise_ambiguous_fix():
     assert best_match < 1e-6
 
 
+def noisy_three_pair_measurements(seed):
+    """Three pairs with random nodes in a 200 m square, ranging a random
+    target with 2 m of Gaussian noise."""
+    rng = np.random.default_rng(seed)
+    nodes, target = rng.uniform(0.0, 200.0, (6, 2)), rng.uniform(0.0, 200.0, 2)
+    measurements = [exact_measurement(pair_at(tx, rx), target)
+                    for tx, rx in zip(nodes[::2], nodes[1::2])]
+    for m in measurements:
+        m.total_range_m += rng.normal(0.0, 2.0)
+    return measurements
+
+
+def test_a_second_basin_is_ambiguous_within_10_percent_of_the_best_residual():
+    """Seed 17's second basin fits at 1.07 times the best residual, which is
+    ambiguous; seed 28's at 1.44 times, which is not. A margin of 0% or 50%
+    gets one of them wrong."""
+    with pytest.raises(AmbiguousFix) as excinfo:
+        fuse_position(noisy_three_pair_measurements(17))
+    best, second = excinfo.value.estimates
+    assert 1.05 < second.residual_rms_m / best.residual_rms_m < 1.1
+    best = fuse_position(noisy_three_pair_measurements(28))
+    assert best.residual_rms_m == pytest.approx(0.9333, abs=1e-4)
+
+
 def test_rigid_transform_equivariance():
     target = np.array([55.0, 35.0])
     pairs = [
