@@ -135,10 +135,9 @@ def apply_channel(
     imaginary parts, each in row-major order. On a fully allocated grid that
     is one M x D stream each. Every other element stays noise-free, so a grid
     without an allocated element gives an all-zero frame. The noise goes
-    through the grid a block of rows at a time, so the received grid and the
-    bool mask of allocated elements are the only full-size arrays. ``out``,
-    as for ``channel_response``, becomes the frame's symbols; a run passes
-    the one working grid its pairs share.
+    through the grid a block of rows at a time, so the received grid is the
+    only full-size array. ``out``, as for ``channel_response``, becomes the
+    frame's symbols; a run passes the one working grid its pairs share.
     """
     received = channel_response(grid.numerology, paths, out=out)
     for rows, tx in grid.symbol_blocks():
@@ -150,7 +149,6 @@ def apply_channel(
     # Scalar float64 in path order: complex np.abs differs by SIMD level.
     signal_power = sum(p.gain.real * p.gain.real + p.gain.imag * p.gain.imag for p in paths)
     noise_power = signal_power * 10.0 ** (-noise_snr_db / 10.0)
-    read = grid.codes >= 0
     rng = np.random.default_rng(rng_seed)
     scale = np.sqrt(noise_power / 2.0)
     buffer = np.empty(_BLOCK_ROWS * received.shape[1])  # reused by every block
@@ -158,7 +156,7 @@ def apply_channel(
     for part in (received.real, received.imag):
         for r0 in range(0, len(part), _BLOCK_ROWS):
             rows = slice(r0, r0 + _BLOCK_ROWS)
-            target, mask = part[rows], read[rows]
+            target, mask = part[rows], grid.codes[rows] >= 0
             noise = buffer[: np.count_nonzero(mask)]
             rng.standard_normal(out=noise)
             noise *= scale

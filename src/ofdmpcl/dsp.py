@@ -91,14 +91,15 @@ def estimate_channel(
         raise DimensionMismatch(f"received {rx.symbols.shape} vs reference {ref.codes.shape}")
     if rx.numerology != ref.numerology:
         raise DimensionMismatch("received frame and reference numerology differ")
-    mask = ref.codes >= 0
-    if not np.any(mask):
+    if ref.codes.max() < 0:
         raise EmptyReference("reference grid owns no allocated elements")
     h = _out_array(out, rx.symbols.shape, np.complex128)
     for rows, tx in ref.symbol_blocks():
-        np.divide(rx.symbols[rows], tx, out=h[rows], where=mask[rows])
-        np.copyto(h[rows], 0, where=~mask[rows])
-    return ChannelEstimate(h=h, valid_mask=mask, numerology=ref.numerology)
+        mask = ref.codes[rows] >= 0
+        np.divide(rx.symbols[rows], tx, out=h[rows], where=mask)
+        np.copyto(h[rows], 0, where=~mask)
+        del tx, mask  # released before the next block's symbols are looked up
+    return ChannelEstimate(h=h, valid_mask=ref.codes >= 0, numerology=ref.numerology)
 
 
 def delay_transform(

@@ -95,7 +95,10 @@ class ResourceGrid:
         return _QPSK[self.codes]
 
     def symbol_blocks(self):
-        """Yield (rows, their symbols); code -1 is 255 as uint8 and clips to the last entry, 0."""
+        """Yield (rows, their symbols); code -1 is 255 as uint8 and clips to the last entry, 0.
+
+        Each block is a new complex array; a caller drops it before it asks
+        for the next one, so that only one block is held at a time."""
         for r0 in range(0, self.codes.shape[0], _BLOCK_ROWS):
             rows = slice(r0, r0 + _BLOCK_ROWS)
             yield rows, np.take(_QPSK, self.codes[rows].view(np.uint8), mode="clip")

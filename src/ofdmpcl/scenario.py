@@ -536,6 +536,7 @@ def run_scenario(scenario: Scenario, out_dir=None, seed=None, log=None) -> RunRe
     pair_results = []
     for pair_spec in scenario.pairs:
         pair_results.append(_run_pair(scenario, scene, grid, pair_spec, out, work))
+    del work, grid  # freed before fusion's grid search; it and the manifest need neither
 
     targets = [n.id for n in scenario.nodes if n.kind == "target"]
     target_hint = targets[0] if len(targets) == 1 else "unassociated"
