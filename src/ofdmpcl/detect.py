@@ -53,9 +53,14 @@ class CfarConfig:
         return 4 * self.train_cells
 
     @property
+    def reach(self) -> int:
+        """Cells per side, along each axis, that the training cross spans."""
+        return self.guard_cells + self.train_cells
+
+    @property
     def window(self) -> int:
         """Side of the square the training cross spans; maps must exceed it."""
-        return 2 * (self.train_cells + self.guard_cells) + 1
+        return 2 * self.reach + 1
 
     @property
     def threshold_factor(self) -> float:
@@ -117,6 +122,16 @@ def _parabolic_offset(flat: np.ndarray, center: np.ndarray, step: int) -> np.nda
     return offset
 
 
+def tested_rows(num_delay: int, delay_bin_s: float, max_delay_s: float | None) -> int:
+    """K, the count of delay rows [0, K) that CFAR tests given ``max_delay_s``
+    (None tests all ``num_delay`` rows), as the module docstring says."""
+    if max_delay_s is None:
+        return num_delay
+    if not max_delay_s >= 0.0:
+        raise ValueError("max_delay_s must be non-negative")
+    return min(num_delay, math.ceil(min(max_delay_s / delay_bin_s, num_delay)) + 2)
+
+
 def cfar_detect(smap: ScatteringMap, cfg: CfarConfig,
                 max_delay_s: float | None = None) -> list[Detection]:
     """Cell-averaging CFAR over a scattering map.
@@ -136,12 +151,8 @@ def cfar_detect(smap: ScatteringMap, cfg: CfarConfig,
         raise MapTooSmall(
             f"map {power.shape} does not exceed the {cfg.window}x{cfg.window} CFAR window"
         )
-    tested = num_delay
-    if max_delay_s is not None:
-        if not max_delay_s >= 0.0:
-            raise ValueError("max_delay_s must be non-negative")
-        tested = min(num_delay, math.ceil(min(max_delay_s / smap.delay_bin_s, num_delay)) + 2)
-    reach = cfg.guard_cells + cfg.train_cells
+    tested = tested_rows(num_delay, smap.delay_bin_s, max_delay_s)
+    reach = cfg.reach
     width = num_doppler + 2 * reach
     # window[i, j] is power[(i - reach) % num_delay, (j - reach) % num_doppler].
     window = np.empty((tested + 2 * reach, width), dtype=power.dtype)

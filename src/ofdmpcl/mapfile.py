@@ -11,7 +11,8 @@ Map file layout (little endian, 64-byte header):
     then M*D float32 power values, row-major (delay rows, Doppler columns)
 
 The payload is the float32 map that the run's detector read, so a run's
-detections can be recomputed from its map file.
+detections can be recomputed from its map file. Rows that no path and no
+CFAR training cell can reach hold 0: the run does not compute them.
 """
 
 from __future__ import annotations

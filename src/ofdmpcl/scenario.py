@@ -29,7 +29,7 @@ from . import __version__
 from . import dsp
 from . import grid as _grid
 from .channel import apply_channel, check_path
-from .detect import CfarConfig, Detection, cfar_detect, suppress_clutter
+from .detect import CfarConfig, Detection, cfar_detect, suppress_clutter, tested_rows
 from .dsp import (
     WINDOWS,
     delay_transform,
@@ -436,8 +436,9 @@ class RunResult:
 def detect_map(smap: dsp.ScatteringMap, scenario: Scenario,
                out: np.ndarray | None = None) -> list[Detection]:
     """A pair's detections from its map by the run's rule: the notch, then
-    CFAR on the rows below the cyclic prefix; ``out`` as suppress_clutter's.
-    Both are called through this module's names, the ones a tracer rebinds."""
+    CFAR on the rows below the cyclic prefix, which reads no row that the
+    run leaves 0; ``out`` as suppress_clutter's. Both are called through
+    this module's names, the ones a tracer rebinds."""
     notched = suppress_clutter(smap, scenario.notch_half_width_bins, out=out)
     return cfar_detect(notched, scenario.cfar, max_delay_s=scenario.numerology.cp_duration_s)
 
@@ -453,7 +454,11 @@ def _run_pair(scenario: Scenario, scene: Scene, grid: ResourceGrid, pair_spec: P
     impulse response and the spreading function each overwrite it in place,
     the float32 map fills its first M * D floats, and ``detect_map`` notches
     that map in place. Every stage's output is a view of ``work``; the estimate
-    also holds an M x D bool mask, released before the Doppler transform."""
+    also holds an M x D bool mask, released before the Doppler transform.
+    The Doppler transform and the map run only on the rows ``detect_map``
+    reads, [0, K + reach) (``tested_rows``, ``CfarConfig.reach``) and the last
+    reach rows, the training cells that the circular delay axis wraps onto the
+    first rows; the other rows of the map are 0."""
     pair = scene.pair(pair_spec.tx, pair_spec.rx)
     paths = enumerate_paths(scene, pair, scenario.numerology.carrier_frequency_hz)
     frame = apply_channel(grid, paths, scenario.snr_db,
@@ -462,12 +467,20 @@ def _run_pair(scenario: Scenario, scene: Scene, grid: ResourceGrid, pair_spec: P
     est = estimate_channel(frame, grid, out=work)
     cir = delay_transform(est, window=scenario.delay_window, out=est.h)
     del est  # frees the estimate's M x D bool mask before the Doppler FFT
-    num_symbols = scenario.doppler_window_symbols
-    sf = doppler_transform(cir, window=scenario.doppler_window, num_symbols=num_symbols,
-                           out=cir.h[:, :num_symbols])
-    # Block by block, the map's floats land on complex elements already read.
-    m, d = sf.s.shape
-    smap = scattering_map(sf, out=work.view(np.float32).reshape(-1)[: m * d].reshape(m, d))
+    m, d = cir.h.shape[0], scenario.doppler_window_symbols
+    power = work.view(np.float32).reshape(-1)[: m * d].reshape(m, d)
+    reach = scenario.cfar.reach
+    head = tested_rows(m, cir.numerology.delay_bin_s, cir.numerology.cp_duration_s) + reach
+    kept = [slice(0, m)] if head + reach >= m else [slice(0, head), slice(m - reach, m)]
+    # Block by block, and the head before the tail, the map's floats land on
+    # complex elements already read.
+    for rows in kept:
+        sf = doppler_transform(dsp.ImpulseResponse(cir.h[rows], cir.numerology),
+                               window=scenario.doppler_window, num_symbols=d,
+                               out=cir.h[rows, :d])
+        scattering_map(sf, out=power[rows])
+    power[head : m - reach] = 0.0  # an empty slice when every row is kept
+    smap = dsp.ScatteringMap(power, sf.delay_bin_s, sf.doppler_bin_hz)
 
     stem = f"{pair_spec.tx}_{pair_spec.rx}"
     map_file = out / f"map_{stem}.bin"

@@ -26,6 +26,7 @@ from ofdmpcl import (
     Numerology,
     Path,
     Scene,
+    SymbolFrame,
     apply_channel,
     bistatic_path,
     build_grid,
@@ -47,7 +48,8 @@ from ofdmpcl import (
 from ofdmpcl.dsp import ChannelEstimate
 from ofdmpcl.geometry import seed_words
 from ofdmpcl.mapfile import render_heatmap, write_detections_csv
-from ofdmpcl.scenario import bundled_scenario_path
+from ofdmpcl import scenario as scenario_module
+from ofdmpcl.scenario import bundled_scenario_path, scenario_from_dict
 from oracles import (
     center_zero_frequency,
     direct_unitary_dft_axis1,
@@ -479,17 +481,73 @@ def test_no_detection_of_a_bundled_scenario_lies_past_the_gated_rows(fig4_run, u
             assert pair.detections and all(d.delay_bin < k for d in pair.detections)
 
 
-def test_gated_cfar_on_the_fig4_maps_is_the_ungated_result_on_the_gated_rows(fig4_run):
-    """detect_map's rule from outside: on fig4_analog's maps it is the notch,
-    then the ungated call's detections, field for field, on rows below K."""
-    scenario, result, _ = fig4_run
-    k = _gated_rows(scenario)
-    for pair in result.pair_results:
-        smap = read_map(pair.map_file)
-        gated = detect_map(smap, scenario)
-        ungated = cfar_detect(suppress_clutter(smap, scenario.notch_half_width_bins), scenario.cfar)
-        assert gated == [d for d in ungated if d.delay_bin < k]
-        assert len(ungated) > 10 * len(gated) > 0
+def _fig4_document(**changes):
+    doc = json.loads(bundled_scenario_path("fig4_analog").read_text())
+    return scenario_from_dict({**doc, **changes})
+
+
+def _run_with_stage_maps(scenario, out, monkeypatch):
+    """Run ``scenario``; also return each pair's full map, every row
+    transformed by the stage functions from the frame and grid of the run."""
+    frames = []
+
+    def recording_apply_channel(grid, *args, **kwargs):
+        frame = apply_channel(grid, *args, **kwargs)
+        frames.append((grid, SymbolFrame(frame.symbols.copy(), frame.numerology)))
+        return frame
+
+    monkeypatch.setattr(scenario_module, "apply_channel", recording_apply_channel)
+    result = run_scenario(scenario, out_dir=out, log=lambda msg: None)
+    monkeypatch.undo()
+    stage_maps = [
+        scattering_map(doppler_transform(
+            delay_transform(estimate_channel(frame, grid), window=scenario.delay_window),
+            window=scenario.doppler_window, num_symbols=scenario.doppler_window_symbols))
+        for grid, frame in frames]
+    return result, stage_maps
+
+
+def test_gated_cfar_on_the_fig4_maps_is_the_ungated_result_on_the_gated_rows(
+        tmp_path, monkeypatch):
+    """detect_map's rule from outside: on fig4_analog's full maps it is the
+    notch, then the ungated call's detections, field for field, on rows
+    below K. The run computes only the rows that CFAR reads: rows [0, K +
+    reach) and the last reach rows, which the circular delay axis wraps onto
+    the first rows' training cells. Its map file holds the full map's bytes
+    there and 0 elsewhere, and gives the full map's detections.
+
+    The inputs are fig4_analog; at 600 carriers, a 100-symbol Doppler window,
+    whose spectrum is a strided view of the working grid; at 600 carriers,
+    Hann windows on a random allocation; and at 24 carriers, a map so short
+    that K + 2 * reach reaches M, where every row is computed."""
+    fig4_600 = {"subcarrier_spacing_hz": 15000.0, "num_carriers": 600,
+                "symbols_per_frame": 140, "cp_fraction": 1.0 / 14.0}
+    inputs = {
+        "fig4_analog": load_scenario("fig4_analog"),
+        "doppler_window_100": _fig4_document(numerology=fig4_600, doppler_window_symbols=100),
+        "random_hann": _fig4_document(
+            numerology=fig4_600, delay_window="hann", doppler_window="hann",
+            allocation={"type": "random", "user": "u0", "density": 0.5, "seed": 3}),
+        "short": _fig4_document(numerology={**fig4_600, "num_carriers": 24}),
+    }
+    for name, scenario in inputs.items():
+        result, stage_maps = _run_with_stage_maps(scenario, tmp_path / name, monkeypatch)
+        m, k = scenario.numerology.num_carriers, _gated_rows(scenario)
+        reach = scenario.cfar.guard_cells + scenario.cfar.train_cells
+        kept = np.zeros(m, dtype=bool)
+        kept[: k + reach] = kept[m - reach :] = True
+        assert kept.all() == (name == "short"), name
+        for pair, full in zip(result.pair_results, stage_maps, strict=True):
+            written = read_map(pair.map_file)
+            assert written.power[kept].tobytes() == full.power[kept].tobytes(), name
+            assert not written.power[~kept].any(), name
+            gated = detect_map(full, scenario)
+            assert detect_map(written, scenario) == pair.detections == gated, name
+            notched = suppress_clutter(full, scenario.notch_half_width_bins)
+            ungated = cfar_detect(notched, scenario.cfar)
+            assert gated == [d for d in ungated if d.delay_bin < k], name
+            if name == "fig4_analog":
+                assert len(ungated) > 10 * len(gated) > 0
 
 
 def _cpu_variants():
