@@ -5,6 +5,7 @@ failure) and enforces the criterion's stated tolerances, including runtime
 budgets where the criterion names one.
 """
 
+import dataclasses
 import json
 import os
 import platform
@@ -49,7 +50,7 @@ from ofdmpcl.dsp import ChannelEstimate
 from ofdmpcl.geometry import seed_words
 from ofdmpcl.mapfile import render_heatmap, write_detections_csv
 from ofdmpcl import scenario as scenario_module
-from ofdmpcl.scenario import bundled_scenario_path, scenario_from_dict
+from ofdmpcl.scenario import bundled_scenario_path
 from oracles import (
     center_zero_frequency,
     direct_unitary_dft_axis1,
@@ -481,11 +482,6 @@ def test_no_detection_of_a_bundled_scenario_lies_past_the_gated_rows(fig4_run, u
             assert pair.detections and all(d.delay_bin < k for d in pair.detections)
 
 
-def _fig4_document(**changes):
-    doc = json.loads(bundled_scenario_path("fig4_analog").read_text())
-    return scenario_from_dict({**doc, **changes})
-
-
 def _run_with_stage_maps(scenario, out, monkeypatch):
     """Run ``scenario``; also return each pair's full map, every row
     transformed by the stage functions from the frame and grid of the run."""
@@ -520,15 +516,17 @@ def test_gated_cfar_on_the_fig4_maps_is_the_ungated_result_on_the_gated_rows(
     whose spectrum is a strided view of the working grid; at 600 carriers,
     Hann windows on a random allocation; and at 24 carriers, a map so short
     that K + 2 * reach reaches M, where every row is computed."""
-    fig4_600 = {"subcarrier_spacing_hz": 15000.0, "num_carriers": 600,
-                "symbols_per_frame": 140, "cp_fraction": 1.0 / 14.0}
+    fig4 = load_scenario("fig4_analog")
+    fig4_600 = dataclasses.replace(fig4.numerology, num_carriers=600)
     inputs = {
-        "fig4_analog": load_scenario("fig4_analog"),
-        "doppler_window_100": _fig4_document(numerology=fig4_600, doppler_window_symbols=100),
-        "random_hann": _fig4_document(
-            numerology=fig4_600, delay_window="hann", doppler_window="hann",
+        "fig4_analog": fig4,
+        "doppler_window_100": dataclasses.replace(
+            fig4, numerology=fig4_600, doppler_window_symbols=100),
+        "random_hann": dataclasses.replace(
+            fig4, numerology=fig4_600, delay_window="hann", doppler_window="hann",
             allocation={"type": "random", "user": "u0", "density": 0.5, "seed": 3}),
-        "short": _fig4_document(numerology={**fig4_600, "num_carriers": 24}),
+        "short": dataclasses.replace(
+            fig4, numerology=dataclasses.replace(fig4.numerology, num_carriers=24)),
     }
     for name, scenario in inputs.items():
         result, stage_maps = _run_with_stage_maps(scenario, tmp_path / name, monkeypatch)
